@@ -30,6 +30,10 @@
 #     and show packing.cache_hit > 0 (the certificate cache engages),
 #     and a committed BENCH_10.json must parse as lbc-bench/1 and carry
 #     the E18 deep-lint cache counters;
+#   - an output-identity gate on the lbcbench Algorithm 2 workloads:
+#     one pass each of cycle64-a2 and fig1b-a2 at seed 1 must print the
+#     pinned verdict_digest, so a speed-up that changes any verdict or
+#     deterministic counter fails here;
 #   - the deep lint gate runs twice through a fresh --deep-cache
 #     directory with --sarif: the warm run must be all hits and its
 #     SARIF artifact byte-identical to the cold run's;
@@ -282,6 +286,26 @@ hits=$(awk '/packing\.cache_hit/ { s += $2 } END { print s + 0 }' \
 [ "$hits" -gt 0 ] \
   || { echo "FAIL: packing.cache_hit is $hits, cache never engaged"; exit 1; }
 echo "perf smoke OK: fingerprint $efp1, packing.cache_hit $hits"
+
+echo "== lbcbench output identity: pinned verdict digests =="
+# verdict_digest is the FNV-1a of a pass's deterministic artifact string
+# (verdicts plus counters). The pinned values were printed before
+# Algorithm 2 began sharing per-run work across nodes; a change that
+# means to keep outputs byte-identical must reproduce them.
+dune build bench/perf/lbcbench.exe
+mkdir -p "$tmp/lbcbench"
+for pin in cycle64-a2:1cbf1dce176da0d3 fig1b-a2:23bb21df5db4bfb5; do
+  w=${pin%%:*}
+  want=${pin#*:}
+  TMPDIR="$tmp/lbcbench" ./_build/default/bench/perf/lbcbench.exe run \
+    --workload "$w" --seed 1 --seconds 0 --out "$tmp/lbcbench/$w.json" \
+    > "$tmp/lbcbench/$w.txt"
+  got=$(awk '$1 == "verdict_digest" { print $2 }' "$tmp/lbcbench/$w.txt")
+  [ "$got" = "$want" ] \
+    || { echo "FAIL: $w verdict_digest $got, pinned $want";
+         cat "$tmp/lbcbench/$w.txt"; exit 1; }
+  echo "$w: verdict_digest $got"
+done
 
 echo "== bench results artifact =="
 # The committed BENCH_10.json (written by `dune exec bench/main.exe`)

@@ -2,6 +2,8 @@ module Nodeset = Lbc_graph.Nodeset
 module G = Lbc_graph.Graph
 module Flood = Lbc_flood.Flood
 module Packing = Lbc_flood.Packing
+module P = Lbc_flood.Path_intern
+module Itbl = Hashtbl.Make (Int)
 module Engine = Lbc_sim.Engine
 module Strategy = Lbc_adversary.Strategy
 
@@ -42,9 +44,9 @@ type p1_out = {
 let timing_valid ~heard_round (m : Bit.t Flood.wire) =
   List.length m.Flood.path = heard_round - 1
 
-let phase1_proc g ~me ~input =
+let phase1_proc g ~paths ~me ~input =
   let store1 =
-    Flood.create g ~me ~vcompare:Bit.compare ~initiate:input
+    Flood.create g ~me ~vcompare:Bit.compare ~paths ~initiate:input
       ~default:Bit.default ()
   in
   let st = { store1; heard_rev = [] } in
@@ -110,6 +112,168 @@ let heard_from_transcript g ~who transcript =
 (* Phase 2: attribution and fault discovery.                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-execution scope.
+
+   Every honest node runs the same attribution and discovery procedure
+   over the same graph, and the phase-2 report lists it indexes are
+   mostly the same few objects (each reporter's list, forwarded
+   unchanged by honest relays, plus the faulty relays' flipped copies).
+   A scope holds what depends only on the graph and on those lists, so
+   one run builds it once instead of once per honest node:
+
+   - the claim/key index of each distinct report list, canonicalised by
+     structural equality (a list that was flipped twice is a different
+     allocation but the same index), together with the answers it has
+     given so far, keyed on ints;
+   - the 2f disjoint w→u path families of fault discovery, each with its
+     scan steps interned in [sp], so that a scan prefix is an int and its
+     list is built once. In a run, [sp] is the table the honest flood
+     stores intern into, so a prefix's list is the very object the
+     phase-1 relays transmitted and a claim lookup compares it without
+     walking it.
+
+   Nothing in a scope depends on a node's own observations, so sharing
+   one cannot change a result; the per-node memo tables (and the packing
+   certificate cache, whose hit/miss counters are observable) stay per
+   node. *)
+
+(* The claims of one report list, and the membership answers given so
+   far by int key (see [claim_key]): a query is resolved against the
+   list-keyed tables once per scope. *)
+type index = {
+  claims : (report, unit) Hashtbl.t; (* full (z, m) claims *)
+  keys : (int * int list, unit) Hashtbl.t; (* (z, path) keys, for omission *)
+  has_claim : bool Itbl.t;
+  has_key : bool Itbl.t;
+}
+
+(* One discovery path: the route w..u and, per position, the node and
+   the id of the path prefix before it. *)
+type scan_path = { route : int list; steps : (int * P.id) array }
+
+type scope = {
+  g : G.t;
+  n : int;
+  sp : P.t;
+  mutable exotic : (int list * int) list;
+      (* queried paths that leave the node range, which [sp] maps to one
+         invalid id: numbered -2, -3, ... *)
+  indexes : (report list, index) Hashtbl.t;
+  families : scan_path list Itbl.t; (* by (limit, w, u) *)
+}
+
+let scope_over g sp =
+  {
+    g;
+    n = G.size g;
+    sp;
+    exotic = [];
+    indexes = Hashtbl.create 64;
+    families = Itbl.create 256;
+  }
+
+let create_scope g = scope_over g (P.create g)
+
+let resolve_scope g = function
+  | None -> create_scope g
+  | Some s ->
+      if s.g != g && not (G.equal s.g g) then
+        invalid_arg "Algorithm2: scope built for another graph";
+      s
+
+(* A total, injective numbering of queried paths, and its inverse. *)
+let pid_of scope path =
+  let pid = P.intern scope.sp path in
+  if pid <> P.invalid then pid
+  else
+    match
+      List.find_opt
+        (fun (l, _) -> Lbc_sim.Det.compare_int_list l path = 0)
+        scope.exotic
+    with
+    | Some (_, pid) -> pid
+    | None ->
+        let pid = -2 - List.length scope.exotic in
+        scope.exotic <- (path, pid) :: scope.exotic;
+        pid
+
+let path_of scope pid =
+  if pid >= 0 then P.path scope.sp pid
+  else fst (List.find (fun (_, p) -> p = pid) scope.exotic)
+
+(* (z, path) and (z, value, path) as ints. Injective for 0 <= z < n and
+   any path id, negative ones included; queried senders are always in
+   range (an out-of-range one raises [Invalid_node] first). *)
+let key_of scope ~z ~pid = (pid * scope.n) + z
+let claim_key scope ~z ~value ~pid = (key_of scope ~z ~pid * 2) + Bit.to_int value
+
+let build_index (reports : report list) =
+  let len = List.length reports + 1 in
+  let idx =
+    {
+      claims = Hashtbl.create len;
+      keys = Hashtbl.create len;
+      has_claim = Itbl.create 64;
+      has_key = Itbl.create 64;
+    }
+  in
+  List.iter
+    (fun ((z, m) as claim : report) ->
+      Hashtbl.replace idx.claims claim ();
+      Hashtbl.replace idx.keys (z, m.Flood.path) ())
+    reports;
+  idx
+
+let mem_claim scope idx ~z ~value ~pid =
+  let key = claim_key scope ~z ~value ~pid in
+  match Itbl.find_opt idx.has_claim key with
+  | Some b -> b
+  | None ->
+      let b =
+        Hashtbl.mem idx.claims (z, { Flood.value; path = path_of scope pid })
+      in
+      Itbl.replace idx.has_claim key b;
+      b
+
+let mem_key scope idx ~z ~pid =
+  let key = key_of scope ~z ~pid in
+  match Itbl.find_opt idx.has_key key with
+  | Some b -> b
+  | None ->
+      let b = Hashtbl.mem idx.keys (z, path_of scope pid) in
+      Itbl.replace idx.has_key key b;
+      b
+
+(* Structural lookup: a double-flipped copy finds its original's index.
+   The common case, the same list object met again, costs no walk:
+   [compare] answers physically equal arguments at once. *)
+let index_of scope reports =
+  match Hashtbl.find_opt scope.indexes reports with
+  | Some idx -> idx
+  | None ->
+      let idx = build_index reports in
+      Hashtbl.replace scope.indexes reports idx;
+      idx
+
+let scan_path_of scope route =
+  let rec go pid acc = function
+    | [] -> Array.of_list (List.rev acc)
+    | z :: rest -> go (P.extend scope.sp pid z) ((z, pid) :: acc) rest
+  in
+  { route; steps = go P.root [] route }
+
+let family scope ~limit ~w ~u =
+  let key = (((limit * scope.n) + w) * scope.n) + u in
+  match Itbl.find_opt scope.families key with
+  | Some ps -> ps
+  | None ->
+      let ps =
+        List.map (scan_path_of scope)
+          (Lbc_graph.Disjoint.disjoint_uv_paths ~limit scope.g ~u:w ~v:u)
+      in
+      Itbl.replace scope.families key ps;
+      ps
+
 (* Attribution index at node [me].
 
    Positive attribution — "me reliably learns z transmitted m": the
@@ -128,69 +292,48 @@ let heard_from_transcript g ~who transcript =
    that omits the forward breaks Lemma C.4 undetected (found by our
    adversarial sweep; see DESIGN.md). *)
 type attribution = {
-  sent : f:int -> z:int -> m:Bit.t Flood.wire -> bool;
-  silent_on : f:int -> z:int -> path:int list -> bool;
+  scope : scope;
+  sent_pid : f:int -> z:int -> value:Bit.t -> pid:P.id -> bool;
+  silent_pid : f:int -> z:int -> pid:P.id -> bool;
 }
 
 (* The records of one reporter overwhelmingly carry the same report
    list (the reporter floods one value; only tampering relays produce
    variants), and those lists are large — n·Σdeg entries. Grouping the
-   records by structurally-equal value means the per-claim key tables
-   are built once per distinct list and shared by every record in the
-   group, instead of being rebuilt per record: this was the dominant
-   cost of the whole algorithm. The physical-equality fast path catches
-   the relays that forwarded the reporter's allocation unchanged. *)
+   records by their canonical index means the per-claim key tables are
+   shared by every record in the group, and (through the scope) by every
+   node of the run. *)
 type group = {
-  value : report list;
-  claims : (report, unit) Hashtbl.t; (* full (z, m) claim keys *)
-  keys : (int * int list, unit) Hashtbl.t; (* (z, path) keys, for omission *)
+  index : index;
   mutable masks : Packing.mask list; (* one disjointness mask per record *)
 }
 
-let attribution_index g ~me ~heard ~store2 =
-  let defaults = with_defaults g ~who:me heard in
-  let direct = Hashtbl.create 256 in
-  List.iter (fun ((z, m) : report) -> Hashtbl.replace direct (z, m) ()) defaults;
-  let heard_keys = Hashtbl.create 256 in
-  List.iter
-    (fun ((z, m) : report) -> Hashtbl.replace heard_keys (z, m.Flood.path) ())
-    defaults;
-  let equal_report (a : report) (b : report) = a == b || compare_report a b = 0 in
-  let equal_reports (a : report list) (b : report list) =
-    a == b || List.equal equal_report a b
-  in
-  let by_reporter : (int, group list ref) Hashtbl.t = Hashtbl.create 64 in
+let attribution_index ?scope g ~me ~heard ~store2 =
+  let scope = resolve_scope g scope in
+  let direct = build_index (with_defaults g ~who:me heard) in
+  let by_reporter : group list ref Itbl.t = Itbl.create 64 in
   Flood.iter_records store2
     (fun ~origin:reporter ~path:_ ~sans_me:mask ~value:(reports : report list) ->
       let groups =
-        match Hashtbl.find_opt by_reporter reporter with
+        match Itbl.find_opt by_reporter reporter with
         | Some gs -> gs
         | None ->
             let gs = ref [] in
-            Hashtbl.replace by_reporter reporter gs;
+            Itbl.replace by_reporter reporter gs;
             gs
       in
+      let index = index_of scope reports in
       let group =
-        match
-          List.find_opt (fun grp -> equal_reports grp.value reports) !groups
-        with
+        match List.find_opt (fun grp -> grp.index == index) !groups with
         | Some grp -> grp
         | None ->
-            let len = List.length reports + 1 in
-            let claims = Hashtbl.create len in
-            let keys = Hashtbl.create len in
-            List.iter
-              (fun ((z, m) as claim : report) ->
-                Hashtbl.replace claims claim ();
-                Hashtbl.replace keys (z, m.Flood.path) ())
-              reports;
-            let grp = { value = reports; claims; keys; masks = [] } in
+            let grp = { index; masks = [] } in
             groups := grp :: !groups;
             grp
       in
       group.masks <- mask :: group.masks);
   let groups_of y =
-    match Hashtbl.find_opt by_reporter y with Some gs -> !gs | None -> []
+    match Itbl.find_opt by_reporter y with Some gs -> !gs | None -> []
   in
   (* The supporting masks for a positive claim (z, m): every record whose
      reporter is a neighbour of z, whose report list contains the claim,
@@ -206,7 +349,7 @@ let attribution_index g ~me ~heard ~store2 =
       (fun y ->
         List.iter
           (fun grp ->
-            if keep grp then
+            if keep grp.index then
               List.iter
                 (fun mask ->
                   if not (Packing.mem mask z) then masks := mask :: !masks)
@@ -215,41 +358,67 @@ let attribution_index g ~me ~heard ~store2 =
       (G.neighbors g z);
     !masks
   in
-  let sent_cache = Hashtbl.create 256 in
-  let sent ~f ~z ~(m : Bit.t Flood.wire) =
+  let supported ~f masks =
+    Packing.Cache.count pcache masks ~limit:(f + 1) >= f + 1
+  in
+  (* Answers by int key, for one [f] at a time: every caller asks with its
+     run's [f], and a query with another [f] starts both memos afresh. *)
+  let memo_f = ref min_int in
+  let sent_memo = Itbl.create 256 and silent_memo = Itbl.create 256 in
+  let memo_for f tbl =
+    if f <> !memo_f then begin
+      Itbl.reset sent_memo;
+      Itbl.reset silent_memo;
+      memo_f := f
+    end;
+    tbl
+  in
+  let sent_pid ~f ~z ~value ~pid =
     if z = me then false (* a node never accuses itself *)
-    else if G.mem_edge g z me then Hashtbl.mem direct (z, m)
+    else if G.mem_edge g z me then mem_claim scope direct ~z ~value ~pid
     else
-      match Hashtbl.find_opt sent_cache (f, z, m) with
+      let key = claim_key scope ~z ~value ~pid in
+      let memo = memo_for f sent_memo in
+      match Itbl.find_opt memo key with
       | Some r -> r
       | None ->
-          let masks =
-            support_masks ~z ~keep:(fun grp -> Hashtbl.mem grp.claims (z, m))
+          let r =
+            supported ~f
+              (support_masks ~z ~keep:(fun idx ->
+                   mem_claim scope idx ~z ~value ~pid))
           in
-          let r = Packing.Cache.count pcache masks ~limit:(f + 1) >= f + 1 in
-          Hashtbl.replace sent_cache (f, z, m) r;
+          Itbl.replace memo key r;
           r
   in
-  let silent_cache = Hashtbl.create 256 in
-  let silent_on ~f ~z ~path =
+  let silent_pid ~f ~z ~pid =
     if z = me then false
-    else if G.mem_edge g z me then not (Hashtbl.mem heard_keys (z, path))
+    else if G.mem_edge g z me then not (mem_key scope direct ~z ~pid)
     else
-      match Hashtbl.find_opt silent_cache (f, z, path) with
+      let key = key_of scope ~z ~pid in
+      let memo = memo_for f silent_memo in
+      match Itbl.find_opt memo key with
       | Some r -> r
       | None ->
-          let masks =
-            support_masks ~z ~keep:(fun grp ->
-                not (Hashtbl.mem grp.keys (z, path)))
+          let r =
+            supported ~f
+              (support_masks ~z ~keep:(fun idx ->
+                   not (mem_key scope idx ~z ~pid)))
           in
-          let r = Packing.Cache.count pcache masks ~limit:(f + 1) >= f + 1 in
-          Hashtbl.replace silent_cache (f, z, path) r;
+          Itbl.replace memo key r;
           r
   in
-  { sent; silent_on }
+  { scope; sent_pid; silent_pid }
 
+let sent (a : attribution) ~f ~z ~(m : Bit.t Flood.wire) =
+  a.sent_pid ~f ~z ~value:m.Flood.value ~pid:(pid_of a.scope m.Flood.path)
+
+let silent_on (a : attribution) ~f ~z ~path =
+  a.silent_pid ~f ~z ~pid:(pid_of a.scope path)
+
+(* Scan prefixes are ids of the scope [learns] was built in. *)
 let discover g ~f ~me ~store1 ~(learns : attribution)
     ?(trace = fun ~w:_ ~u:_ ~path:_ ~z:_ ~kind:_ -> ()) () =
+  let scope = learns.scope in
   let detected = ref Nodeset.empty in
   let n = G.size g in
   for w = 0 to n - 1 do
@@ -257,41 +426,33 @@ let discover g ~f ~me ~store1 ~(learns : attribution)
       (fun b ->
         let bbar = Bit.flip b in
         for u = 0 to n - 1 do
-          if u <> w then begin
-            let paths =
-              Lbc_graph.Disjoint.disjoint_uv_paths ~limit:(2 * f) g ~u:w ~v:u
-            in
+          if u <> w then
             List.iter
               (fun p ->
                 (* Scan w..u; the transmitted message of the node at
                    position i carries the path prefix before it. The first
                    node with reliable tamper OR omission evidence is
                    provably faulty. *)
-                let rec scan prefix_rev = function
-                  | [] -> ()
-                  | z :: rest ->
-                      let prefix = List.rev prefix_rev in
-                      if
-                        z <> me
-                        && learns.sent ~f ~z
-                             ~m:{ Flood.value = bbar; path = prefix }
-                      then begin
-                        trace ~w ~u ~path:p ~z ~kind:"tamper";
-                        Lbc_obs.Obs.incr "a2.evidence.tamper";
-                        detected := Nodeset.add z !detected
-                      end
-                      else if
-                        z <> me && learns.silent_on ~f ~z ~path:prefix
-                      then begin
-                        trace ~w ~u ~path:p ~z ~kind:"omission";
-                        Lbc_obs.Obs.incr "a2.evidence.omission";
-                        detected := Nodeset.add z !detected
-                      end
-                      else scan (z :: prefix_rev) rest
+                let steps = p.steps in
+                let rec scan i =
+                  if i < Array.length steps then begin
+                    let z, pid = steps.(i) in
+                    if z <> me && learns.sent_pid ~f ~z ~value:bbar ~pid
+                    then begin
+                      trace ~w ~u ~path:p.route ~z ~kind:"tamper";
+                      Lbc_obs.Obs.incr "a2.evidence.tamper";
+                      detected := Nodeset.add z !detected
+                    end
+                    else if z <> me && learns.silent_pid ~f ~z ~pid then begin
+                      trace ~w ~u ~path:p.route ~z ~kind:"omission";
+                      Lbc_obs.Obs.incr "a2.evidence.omission";
+                      detected := Nodeset.add z !detected
+                    end
+                    else scan (i + 1)
+                  end
                 in
-                scan [] p)
-              paths
-          end
+                scan 0)
+              (family scope ~limit:(2 * f) ~w ~u)
         done)
       (Flood.reliable_values ~f store1 ~origin:w)
   done;
@@ -384,6 +545,9 @@ let run_traced ~g ~f ~inputs ~faulty
   let topo = Engine.topology_of_graph g in
   let per_phase = Flood.rounds_needed g in
   let is_faulty v = Nodeset.mem v faulty in
+  (* One path intern table for the honest stores of all three floods:
+     every node relays the same paths, so each is interned once. *)
+  let paths = P.create g in
   (* Phase 1 *)
   let roles1 =
     Array.init n (fun v ->
@@ -391,7 +555,7 @@ let run_traced ~g ~f ~inputs ~faulty
           Engine.Faulty
             (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:Bit.compare
                ~input:inputs.(v) ~default:Bit.default ~flip:Bit.flip ~seed)
-        else Engine.Honest (phase1_proc g ~me:v ~input:inputs.(v)))
+        else Engine.Honest (phase1_proc g ~paths ~me:v ~input:inputs.(v)))
   in
   let r1 =
     Engine.run ~record:true topo ~model:Engine.Local_broadcast
@@ -419,14 +583,15 @@ let run_traced ~g ~f ~inputs ~faulty
         else
           Engine.Honest
             (Flood.proc
-               (Flood.create g ~me:v ~vcompare:compare_reports
+               (Flood.create g ~me:v ~vcompare:compare_reports ~paths
                   ~initiate:(reports v) ~default:[] ())))
   in
   let r2 =
     Engine.run topo ~model:Engine.Local_broadcast ~rounds:per_phase
       ~roles:roles2
   in
-  (* Fault discovery at each honest node *)
+  (* Fault discovery at each honest node, sharing one scope *)
+  let scope = scope_over g paths in
   let detected =
     Array.init n (fun v ->
         if is_faulty v then Nodeset.empty
@@ -437,8 +602,8 @@ let run_traced ~g ~f ~inputs ~faulty
             | None -> invalid_arg "Algorithm2: missing phase-2 store"
           in
           let learns =
-            attribution_index g ~me:v ~heard:(List.rev (p1 v).heard_rev)
-              ~store2
+            attribution_index ~scope g ~me:v
+              ~heard:(List.rev (p1 v).heard_rev) ~store2
           in
           discover g ~f ~me:v ~store1:(p1 v).store1 ~learns ()
         end)
@@ -470,7 +635,7 @@ let run_traced ~g ~f ~inputs ~faulty
         else
           Engine.Honest
             (Flood.proc
-               (Flood.create g ~me:v ~vcompare:Bit.compare
+               (Flood.create g ~me:v ~vcompare:Bit.compare ~paths
                   ?initiate:b_decision.(v) ())))
   in
   let r3 =

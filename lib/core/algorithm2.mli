@@ -63,23 +63,52 @@ val rounds : g:Lbc_graph.Graph.t -> int
     Exposed for diagnostics, the fault-forensics example and white-box
     tests; {!run} composes them. *)
 
-type attribution = {
-  sent : f:int -> z:int -> m:Bit.t Lbc_flood.Flood.wire -> bool;
-      (** reliable positive evidence that [z] transmitted [m] in
-          phase 1 *)
-  silent_on : f:int -> z:int -> path:int list -> bool;
-      (** reliable evidence that [z] transmitted {e nothing} whose path
-          annotation is [path] *)
-}
+type scope
+(** What the attribution and discovery steps of one execution share
+    across its honest nodes. A scope holds only things that depend on the
+    graph and on phase-2 report lists, never on a node's own
+    observations:
+
+    - one path intern table, so report claims and scan prefixes key on
+      ints;
+    - the claim/key index of each distinct report list, canonicalised by
+      structural equality, and the answers it has given;
+    - the [2f] disjoint [w]→[u] path families of {!discover} and their
+      interned scan steps.
+
+    Results never depend on the scope: a call with a shared scope returns
+    exactly what the same call with a fresh one returns, and records the
+    same observability counters (the per-node memo tables and packing
+    certificate caches are not shared). A scope is mutable, bound to one
+    graph, and must stay on one domain. {!run_traced} creates one per
+    execution. *)
+
+val create_scope : Lbc_graph.Graph.t -> scope
+(** An empty scope for executions on this graph. *)
+
+type attribution
+(** A node's phase-2 attribution queries (see {!sent} and {!silent_on}),
+    memoised per node for the last [f] asked. *)
 
 val attribution_index :
+  ?scope:scope ->
   Lbc_graph.Graph.t ->
   me:int ->
   heard:(int * Bit.t Lbc_flood.Flood.wire) list ->
   store2:(int * Bit.t Lbc_flood.Flood.wire) list Lbc_flood.Flood.store ->
   attribution
 (** Build the phase-2 attribution queries from a node's own phase-1
-    observations and its phase-2 report store. *)
+    observations and its phase-2 report store. Without [scope] the index
+    gets a private one.
+    @raise Invalid_argument if [scope] was created for a different
+    graph. *)
+
+val sent : attribution -> f:int -> z:int -> m:Bit.t Lbc_flood.Flood.wire -> bool
+(** Reliable positive evidence that [z] transmitted [m] in phase 1. *)
+
+val silent_on : attribution -> f:int -> z:int -> path:int list -> bool
+(** Reliable evidence that [z] transmitted {e nothing} whose path
+    annotation is [path]. *)
 
 val discover :
   Lbc_graph.Graph.t ->
@@ -92,7 +121,7 @@ val discover :
   Lbc_graph.Nodeset.t
 (** The fault-discovery procedure; [trace] observes each detection (the
     origin [w], the far end [u], the scanned path and the evidence
-    kind). *)
+    kind). It uses the scope [learns] was built in. *)
 
 val run :
   g:Lbc_graph.Graph.t ->
@@ -128,4 +157,7 @@ val run_traced :
   ?seed:int ->
   unit ->
   traced
-(** Like {!run_detailed} with the full white-box view. *)
+(** Like {!run_detailed} with the full white-box view. The honest flood
+    stores of all three phases share one path intern table, and fault
+    discovery shares one {!scope} across the honest nodes; neither
+    changes any result. *)

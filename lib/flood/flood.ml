@@ -22,7 +22,7 @@ type 'v store = {
   initiate : 'v option;
   default : 'v option;
   vcompare : 'v -> 'v -> int;
-  paths : P.t; (* per-store intern table: ids never cross stores *)
+  paths : P.t; (* private, or shared by the stores of one execution *)
   seen : (int, unit) Hashtbl.t; (* rule (ii) keys: wire-path id * n + sender *)
   bootstrap : (int, unit) Hashtbl.t;
       (* neighbours defaulted by the missing-message rule — deliberately
@@ -50,7 +50,16 @@ let record t fid value =
       Hashtbl.replace t.recs fid r;
       t.recs_rev <- r :: t.recs_rev
 
-let create g ~me ~vcompare ?initiate ?default () =
+let create g ~me ~vcompare ?paths ?initiate ?default () =
+  let paths =
+    match paths with
+    | None -> P.create g
+    | Some t ->
+        let g' = P.graph t in
+        if g' != g && not (G.equal g' g) then
+          invalid_arg "Flood.create: intern table built for another graph";
+        t
+  in
   let store =
     {
       g;
@@ -59,7 +68,7 @@ let create g ~me ~vcompare ?initiate ?default () =
       initiate;
       default;
       vcompare;
-      paths = P.create g;
+      paths;
       seen = Hashtbl.create 64;
       bootstrap = Hashtbl.create 8;
       recs = Hashtbl.create 64;

@@ -38,12 +38,18 @@
     The packing masks are multi-word bitsets ({!Packing.mask}), so graph
     size is not capped by the machine word.
 
-    Internally every path annotation is interned per store
-    ({!Path_intern}): the rule-(ii) dedup table and the record store key
+    Internally every path annotation is interned ({!Path_intern}, one
+    table per store unless the caller shares one): the rule-(ii) dedup table and the record store key
     on dense ints, rule (i)'s timing/validity checks read intern-time
     facts, record node-sets are bitsets built once at accept time, and
     disjoint-path certificates are memoised per store
     ({!Packing.Cache}, counters [packing.cache_hit]/[packing.cache_miss]).
+    An intern table grows by a few words per distinct path prefix (it
+    keeps parent links, not lists), and a path's node list is built only
+    when something reads it — a forward's wire path or a record's path in
+    {!records}/{!iter_records} — once per path, then shared. Stores that
+    share a table (the [paths] argument of {!create}) also share those
+    prefixes and lists.
     None of this is observable: records, forwards and query results are
     byte-identical to the direct list-keyed implementation (a retained
     reference copy is QCheck-tested against this module). *)
@@ -59,6 +65,7 @@ val create :
   Lbc_graph.Graph.t ->
   me:int ->
   vcompare:('v -> 'v -> int) ->
+  ?paths:Path_intern.t ->
   ?initiate:'v ->
   ?default:'v ->
   unit ->
@@ -73,7 +80,10 @@ val create :
     When [default] is given, neighbours that stay silent in round 0 are
     deemed to have flooded [default] (the paper's missing-message rule).
     Omit [default] for floods in which only some nodes initiate
-    (Algorithm 2 phase 3). *)
+    (Algorithm 2 phase 3). [paths] is the path intern table the store
+    uses; the stores of one execution may share one, which changes no
+    result (default: a private table).
+    @raise Invalid_argument if [paths] was created for another graph. *)
 
 val proc : 'v store -> ('v wire, 'v store) Lbc_sim.Engine.proc
 (** The honest flooding process for the engine; its output is the store,

@@ -10,13 +10,28 @@
     the new node is fresh, and the new edge exists), the node bitset
     (rule (iii) and the packing masks) and the endpoints.
 
+    Memory model: a trie node costs a constant number of words plus its
+    node bitset — it records its parent id and its last node, not its
+    path — and all trie edges of a table share one int-keyed table, so a
+    table's size is linear in the number of distinct prefixes it has
+    seen. The origin-first list of a path is built lazily, from the
+    parent chain, on the first {!path} call for that id, and memoised:
+    paths nobody reads never get a list, and repeated reads share one
+    allocation.
+
+    A table is mutable and belongs to one domain. The flood stores of
+    one execution may share one table (see {!Flood.create}), so that a
+    path the whole network relays is interned, and its list built, once
+    per execution rather than once per node.
+
     Invariants: ids are dense, allocation-ordered, and {e per table} —
     they mean nothing to any other table or execution and are never
     serialized (artifacts and fingerprints only ever see the underlying
     node lists, which {!path} returns in origin-first wire order).
     Interning never fails: a path mentioning a node outside
     [0 .. size g - 1] maps to {!invalid}, which all queries treat as
-    "not a path of [g]". *)
+    "not a path of [g]". Non-simple paths (repeated nodes, missing
+    edges) intern normally; {!is_path} tells them apart. *)
 
 type t
 (** An intern table for paths over a fixed graph. *)
@@ -24,6 +39,9 @@ type t
 type id = int
 
 val create : Lbc_graph.Graph.t -> t
+
+val graph : t -> Lbc_graph.Graph.t
+(** The graph the table was created for. *)
 
 val root : id
 (** The id of the empty path. *)
@@ -38,20 +56,21 @@ val intern : t -> int list -> id
     [0 .. size g - 1]. *)
 
 val extend : t -> id -> int -> id
-(** [extend t pid u] is the id of [path pid · u] in O(1) (one array
-    probe after the first time). {!invalid} when [pid] is {!invalid} or
-    [u] is out of range. *)
+(** [extend t pid u] is the id of [path pid · u] in O(1) (one probe of
+    the table's int-keyed edge table). Stable: extending the same id by
+    the same node always returns the same id. {!invalid} when [pid] is
+    {!invalid} or [u] is out of range. *)
 
 (** {1 Cached properties}
 
-    All of these are O(1) reads of values computed at intern time.
-    Except for {!length}, {!is_path} and {!mem} (total, see below), they
-    raise [Invalid_argument] on {!invalid}. *)
+    All of these except {!path} are O(1) reads of values computed at
+    intern time. Except for {!length}, {!is_path} and {!mem} (total, see
+    below), they raise [Invalid_argument] on {!invalid}. *)
 
 val path : t -> id -> int list
 (** The interned path, origin first — structurally equal to the list
-    that was interned, and shared: repeated lookups return the same
-    allocation. *)
+    that was interned. The first call for an id builds the list in
+    O(length); later calls return the same allocation. *)
 
 val length : t -> id -> int
 (** Number of nodes on the path; [0] for {!root}, [-1] for {!invalid}. *)

@@ -136,6 +136,23 @@ let is_complete g =
   let n = Graph.size g in
   Graph.num_edges g = n * (n - 1) / 2
 
+(* Row pruning, as in Even's vertex-connectivity algorithm. Both
+   searches below only try pairs (u, v) with u < v and u in a short
+   prefix of the node ids, which is enough:
+
+   Let S be a vertex separator with |S| < k, and suppose k <= n. Some
+   node among 0 .. k-1 lies outside S; let i be the smallest. Nodes
+   0 .. i-1 all lie in S, so every node in a component of G - S other
+   than i's has an index larger than i, and is not adjacent to i. For
+   such a v, Menger gives count_uv i v <= |S| < k, and (i, v) is a pair
+   of row i < k.
+
+   So κ(G) < k iff some row u < k has a non-adjacent v > u with fewer
+   than k disjoint paths ([connectivity_at_least]). With k = κ + 1 such
+   a row i <= κ exists ([connectivity]). Every count is >= κ, so the
+   running minimum m never drops below κ. Rows u >= m are skipped: while
+   m > κ that never skips row i (i <= κ < m), and once m = κ no row can
+   lower it. *)
 let connectivity g =
   let n = Graph.size g in
   if n <= 1 then 0
@@ -143,11 +160,13 @@ let connectivity g =
   else if is_complete g then n - 1
   else begin
     let best = ref (n - 1) in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if not (Graph.mem_edge g u v) then
-          best := min !best (count_uv ~limit:!best g ~u ~v)
-      done
+    let u = ref 0 in
+    while !u < !best do
+      for v = !u + 1 to n - 1 do
+        if not (Graph.mem_edge g !u v) then
+          best := min !best (count_uv ~limit:!best g ~u:!u ~v)
+      done;
+      incr u
     done;
     !best
   end
@@ -201,9 +220,10 @@ let connectivity_at_least g k =
     else if not (Traversal.is_connected g) then false
     else if is_complete g then true
     else begin
+      (* Rows u < k suffice; see the pruning note above [connectivity]. *)
       let ok = ref true in
       (try
-         for u = 0 to n - 1 do
+         for u = 0 to k - 1 do
            for v = u + 1 to n - 1 do
              if not (Graph.mem_edge g u v) then
                if count_uv ~limit:k g ~u ~v < k then begin

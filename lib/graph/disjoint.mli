@@ -71,11 +71,15 @@ val disjoint_set_paths :
 val connectivity : Graph.t -> int
 (** Vertex connectivity κ(G): [0] for disconnected (or ≤ 1-node) graphs,
     [n - 1] for the complete graph, otherwise the minimum over non-adjacent
-    pairs of the maximum number of internally disjoint paths. *)
+    pairs of the maximum number of internally disjoint paths. Only the
+    pairs [(u, v)], [u < v], with [u] below the running minimum are
+    tried (the pruning of Even's algorithm; the proof is in the
+    implementation). *)
 
 val connectivity_at_least : Graph.t -> int -> bool
 (** [connectivity_at_least g k] decides κ(G) ≥ k, with early termination
-    (cheaper than computing κ exactly). [true] for [k <= 0]. *)
+    (cheaper than computing κ exactly). [true] for [k <= 0]. Only the
+    pairs [(u, v)], [u < v < n], with [u < k] are tried. *)
 
 val min_vertex_cut : Graph.t -> Nodeset.t
 (** A minimum vertex cut: a set of κ(G) nodes whose removal disconnects

@@ -221,6 +221,122 @@ let prop_random_f1_cycleplus =
       Spec.consensus_ok o
       end)
 
+(* The scope that run_traced shares across its honest nodes changes
+   nothing. Each honest node's fault discovery is replayed twice on the
+   run's own stores: standalone (no scope, so every call builds its own),
+   and through one shared scope visited in node order, as run_traced
+   does. Both must reproduce the run's node report, trace the same
+   evidence in the same order, and record the same counters. On fig1b
+   the two faults both flip forwards, so a report list flipped twice —
+   structurally equal to the original, physically a different list —
+   reaches the attribution indexes. *)
+let replay ?scope g ~f ~(t : A2.traced) v =
+  match (t.A2.store1.(v), t.A2.store2.(v)) with
+  | Some store1, Some store2 ->
+      let trace = ref [] in
+      let (learns, detected), obs =
+        Lbc_obs.Obs.record (fun () ->
+            let learns =
+              A2.attribution_index ?scope g ~me:v ~heard:t.A2.heard.(v) ~store2
+            in
+            ( learns,
+              A2.discover g ~f ~me:v ~store1 ~learns
+                ~trace:(fun ~w ~u ~path ~z ~kind ->
+                  trace := (w, u, path, z, kind) :: !trace)
+                () ))
+      in
+      (* Each piece of evidence the scan found is also what the public,
+         list-keyed queries answer for the same sender and prefix. *)
+      let agrees (w, _, path, z, kind) =
+        let rec prefix acc = function
+          | x :: rest when x <> z -> prefix (x :: acc) rest
+          | _ -> List.rev acc
+        in
+        let prefix = prefix [] path in
+        match kind with
+        | "tamper" ->
+            List.exists
+              (fun b ->
+                A2.sent learns ~f ~z
+                  ~m:{ Lbc_flood.Flood.value = Bit.flip b; path = prefix })
+              (Lbc_flood.Flood.reliable_values ~f store1 ~origin:w)
+        | _ -> A2.silent_on learns ~f ~z ~path:prefix
+      in
+      let trace = List.rev !trace in
+      Some (detected, trace, obs.Lbc_obs.Obs.counters, List.for_all agrees trace)
+  | _ -> None
+
+let scope_case =
+  let kinds = Array.of_list S.kinds_lbc in
+  let gen =
+    QCheck.Gen.(
+      triple bool (int_range 0 9999) (int_bound (Array.length kinds - 1)))
+  in
+  let print (fig, seed, k) =
+    if fig then Printf.sprintf "fig1b f=2 flip+flip seed=%d" seed
+    else Format.asprintf "cycle:7 f=1 %a seed=%d" S.pp_kind kinds.(k) seed
+  in
+  (QCheck.make ~print gen, kinds)
+
+let prop_scope_transparent =
+  let arb, kinds = scope_case in
+  QCheck.Test.make ~name:"shared scope = standalone per-node replay" ~count:24
+    arb (fun (fig, seed, k) ->
+      let st = Random.State.make [| seed; 14 |] in
+      let g, f, faulty, kind =
+        if fig then
+          let i = Random.State.int st 8 in
+          let j = (i + 1 + Random.State.int st 7) mod 8 in
+          (B.fig1b (), 2, Nodeset.of_list [ i; j ], S.Flip_forwards)
+        else (B.cycle 7, 1, Nodeset.singleton (Random.State.int st 7), kinds.(k))
+      in
+      let inputs =
+        Array.init (G.size g) (fun _ -> Bit.of_bool (Random.State.bool st))
+      in
+      let t =
+        A2.run_traced ~g ~f ~inputs ~faulty ~strategy:(fun _ -> kind) ~seed ()
+      in
+      let shared = A2.create_scope g in
+      List.for_all
+        (fun v ->
+          match
+            ( t.A2.node_reports.(v),
+              replay g ~f ~t v,
+              replay ~scope:shared g ~f ~t v )
+          with
+          | None, None, None -> true
+          | Some r, Some (alone, trace, obs, ok), Some (alone', trace', obs', _)
+            ->
+              ok
+              && Nodeset.equal r.A2.detected alone
+              && r.A2.type_a = (Nodeset.cardinal alone = f)
+              && Nodeset.equal alone alone' && trace = trace' && obs = obs'
+          | _ -> false)
+        (G.nodes g))
+
+(* The property above is only meaningful on fig1b if double-flipped
+   report lists really occur: some node must hold two records from one
+   reporter whose lists are equal but not the same allocation. *)
+let test_double_flip_occurs () =
+  let g = B.fig1b () in
+  let t =
+    A2.run_traced ~g ~f:2 ~inputs:(Array.make 8 Bit.Zero)
+      ~faulty:(Nodeset.of_list [ 0; 4 ])
+      ~strategy:(fun _ -> S.Flip_forwards) ()
+  in
+  let twins store =
+    let seen = Hashtbl.create 16 in
+    let found = ref false in
+    Lbc_flood.Flood.iter_records store
+      (fun ~origin ~path:_ ~sans_me:_ ~value ->
+        let same = Option.value (Hashtbl.find_opt seen origin) ~default:[] in
+        if List.exists (fun l -> l = value && l != value) same then found := true;
+        Hashtbl.replace seen origin (value :: same));
+    !found
+  in
+  check "structurally equal, physically distinct report lists" true
+    (Array.exists (function Some s -> twins s | None -> false) t.A2.store2)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "algorithm2"
@@ -247,5 +363,10 @@ let () =
             test_omission_regression;
           Alcotest.test_case "noise regression" `Quick test_noise_regression;
         ] );
+      ( "scope",
+        [
+          Alcotest.test_case "double flip occurs" `Quick test_double_flip_occurs;
+        ]
+        @ qt [ prop_scope_transparent ] );
       ("properties", qt [ prop_random_f1_cycleplus ]);
     ]

@@ -309,6 +309,57 @@ let prop_flow_count_matches_path_packing =
       in
       Lbc_flood.Packing.count masks ~limit:n = D.count_uv g ~u ~v)
 
+(* The unpruned all-pairs searches [Disjoint.connectivity] and
+   [Disjoint.connectivity_at_least] used before row pruning, kept as the
+   reference the pruned versions must agree with. *)
+let reference_connectivity g =
+  let n = G.size g in
+  if n <= 1 || not (Lbc_graph.Traversal.is_connected g) then 0
+  else if G.num_edges g = n * (n - 1) / 2 then n - 1
+  else begin
+    let best = ref (n - 1) in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if not (G.mem_edge g u v) then best := min !best (D.count_uv g ~u ~v)
+      done
+    done;
+    !best
+  end
+
+let reference_at_least g k =
+  let n = G.size g in
+  if k <= 0 then true
+  else if n <= k || not (Lbc_graph.Traversal.is_connected g) then false
+  else if G.num_edges g = n * (n - 1) / 2 then true
+  else begin
+    let ok = ref true in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if (not (G.mem_edge g u v)) && D.count_uv ~limit:k g ~u ~v < k then
+          ok := false
+      done
+    done;
+    !ok
+  end
+
+(* Any graph on up to 9 nodes, connected or not, sparse to dense. *)
+let arb_small_graph =
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun n seed p -> B.random_gnp ~seed n (float_of_int p /. 10.))
+        (int_range 1 9) (int_range 0 10000) (int_range 1 9))
+  in
+  QCheck.make ~print:(Format.asprintf "%a" G.pp) gen
+
+let prop_pruned_connectivity =
+  QCheck.Test.make ~name:"row-pruned connectivity = all-pairs reference"
+    ~count:300 arb_small_graph (fun g ->
+      D.connectivity g = reference_connectivity g
+      && List.for_all
+           (fun k -> D.connectivity_at_least g k = reference_at_least g k)
+           (List.init (G.size g + 2) Fun.id))
+
 let prop_connectivity_le_min_degree =
   QCheck.Test.make ~name:"κ(G) <= min degree" ~count:60 arb_connected_graph
     (fun g -> D.connectivity g <= G.min_degree g)
@@ -397,5 +448,6 @@ let () =
             prop_flow_count_matches_path_packing;
             prop_connectivity_le_min_degree;
             prop_removal_of_cut_disconnects;
+            prop_pruned_connectivity;
           ] );
     ]

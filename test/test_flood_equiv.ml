@@ -5,7 +5,8 @@
    inbox — so the comparison covers adversarial traffic (every
    broadcast-bound strategy) and chaos-perturbed delivery, not just
    clean floods — and must produce identical forwards each round and
-   identical query results afterwards. Also checks the packing
+   identical query results afterwards, whether each interned store has
+   its own path intern table or all share one. Also checks the packing
    certificate cache against fresh counts. *)
 
 module Flood = Lbc_flood.Flood
@@ -19,9 +20,13 @@ module Engine = Lbc_sim.Engine
 module P = Lbc_sim.Perturb
 module Obs = Lbc_obs.Obs
 
-(* One honest node driving both implementations on the same inbox. *)
-let mirrored g ~me ~initiate ~default : ('a, 'b) Engine.proc =
-  let st = Flood.create g ~me ~vcompare:Int.compare ~initiate ~default () in
+(* One honest node driving both implementations on the same inbox.
+   [paths], when given, is a path intern table shared by all the honest
+   interned stores of the run. *)
+let mirrored g ?paths ~me ~initiate ~default () : ('a, 'b) Engine.proc =
+  let st =
+    Flood.create g ~me ~vcompare:Int.compare ?paths ~initiate ~default ()
+  in
   let rf = Ref.create g ~me ~initiate ~default () in
   let p = Flood.proc st in
   let q = Ref.proc rf in
@@ -102,30 +107,37 @@ let equivalence =
       let g = B.random_augmented_circulant ~seed ~n ~k:2 ~extra:0.3 in
       let faulty = seed mod n in
       let kind = List.nth S.kinds_lbc kind_i in
-      let roles =
-        Array.init n (fun v ->
-            if v = faulty then
-              Engine.Faulty
-                (S.fstep kind ~g ~me:v ~vcompare:Int.compare ~input:(100 + v)
-                   ~default:(-1)
-                   ~flip:(fun x -> -x)
-                   ~seed)
-            else
-              Engine.Honest
-                (mirrored g ~me:v ~initiate:(100 + v) ~default:(-1)))
-      in
-      let topo = Engine.topology_of_graph g in
-      let rounds = Flood.rounds_needed g + 3 in
-      let r =
-        P.with_chaos (List.nth chaos_specs chaos_i) ~seed:(seed + 1) (fun () ->
-            Engine.run topo ~model:Engine.Local_broadcast ~rounds ~roles)
-      in
-      Array.iteri
-        (fun v out ->
-          match out with
-          | Some pair when v <> faulty -> compare_stores g ~f:1 pair
-          | _ -> ())
-        r.Engine.outputs;
+      (* Each case runs twice: every store with its own intern table, then
+         all sharing one. *)
+      List.iter
+        (fun paths ->
+          let roles =
+            Array.init n (fun v ->
+                if v = faulty then
+                  Engine.Faulty
+                    (S.fstep kind ~g ~me:v ~vcompare:Int.compare
+                       ~input:(100 + v) ~default:(-1)
+                       ~flip:(fun x -> -x)
+                       ~seed)
+                else
+                  Engine.Honest
+                    (mirrored g ?paths ~me:v ~initiate:(100 + v) ~default:(-1)
+                       ()))
+          in
+          let topo = Engine.topology_of_graph g in
+          let rounds = Flood.rounds_needed g + 3 in
+          let r =
+            P.with_chaos (List.nth chaos_specs chaos_i) ~seed:(seed + 1)
+              (fun () ->
+                Engine.run topo ~model:Engine.Local_broadcast ~rounds ~roles)
+          in
+          Array.iteri
+            (fun v out ->
+              match out with
+              | Some pair when v <> faulty -> compare_stores g ~f:1 pair
+              | _ -> ())
+            r.Engine.outputs)
+        [ None; Some (Lbc_flood.Path_intern.create g) ];
       true)
 
 (* The packing certificate cache must be a pure memo of Packing.count:

@@ -75,7 +75,7 @@ let check_lemma_c2 ctx =
                         check
                           (Printf.sprintf "C.2: %d knows %d sent" v z)
                           true
-                          (learns.A2.sent ~f:ctx.f ~z ~m))
+                          (A2.sent learns ~f:ctx.f ~z ~m))
                       sent
                 | _ -> ()
               end)
