@@ -30,10 +30,12 @@
 #     and show packing.cache_hit > 0 (the certificate cache engages),
 #     and a committed BENCH_10.json must parse as lbc-bench/1 and carry
 #     the E18 deep-lint cache counters;
-#   - an output-identity gate on the lbcbench Algorithm 2 workloads:
-#     one pass each of cycle64-a2 and fig1b-a2 at seed 1 must print the
-#     pinned verdict_digest, so a speed-up that changes any verdict or
-#     deterministic counter fails here;
+#   - an output-identity gate on four lbcbench workloads: one pass each
+#     of cycle64-a2 and fig1b-a2 (Algorithm 2), cycle5-exhaustive
+#     (Algorithms 1 and 2 on the E1 grid) and durable-chaos (chaos,
+#     network profiles, journal and result cache) at seed 1 must print
+#     the pinned verdict_digest, so a speed-up that changes any verdict
+#     or deterministic counter fails here;
 #   - the deep lint gate runs twice through a fresh --deep-cache
 #     directory with --sarif: the warm run must be all hits and its
 #     SARIF artifact byte-identical to the cold run's;
@@ -289,12 +291,14 @@ echo "perf smoke OK: fingerprint $efp1, packing.cache_hit $hits"
 
 echo "== lbcbench output identity: pinned verdict digests =="
 # verdict_digest is the FNV-1a of a pass's deterministic artifact string
-# (verdicts plus counters). The pinned values were printed before
-# Algorithm 2 began sharing per-run work across nodes; a change that
-# means to keep outputs byte-identical must reproduce them.
+# (verdicts plus counters). The Algorithm 2 pins were printed before
+# Algorithm 2 began sharing per-run work across nodes, the other two
+# before Algorithms 1 and 3 shared one path intern table per execution;
+# a change that means to keep outputs byte-identical must reproduce them.
 dune build bench/perf/lbcbench.exe
 mkdir -p "$tmp/lbcbench"
-for pin in cycle64-a2:1cbf1dce176da0d3 fig1b-a2:23bb21df5db4bfb5; do
+for pin in cycle64-a2:1cbf1dce176da0d3 fig1b-a2:23bb21df5db4bfb5 \
+    cycle5-exhaustive:032d835190705bd6 durable-chaos:2959c34c14ba1a6f; do
   w=${pin%%:*}
   want=${pin#*:}
   TMPDIR="$tmp/lbcbench" ./_build/default/bench/perf/lbcbench.exe run \

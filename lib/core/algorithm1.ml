@@ -70,6 +70,9 @@ let run ~g ~f ~inputs ~faulty ?(strategy = fun _ -> Strategy.Flip_forwards)
   let candidate_sets =
     Lbc_graph.Combi.subsets_up_to (Lbc_graph.Graph.nodes g) f
   in
+  (* One path intern table for the honest stores of every phase: each
+     phase floods over the same graph, so each path is interned once. *)
+  let paths = Lbc_flood.Path_intern.create g in
   List.iter
     (fun cap_f ->
       (* Stop between phases once the domain's round budget is spent,
@@ -79,7 +82,7 @@ let run ~g ~f ~inputs ~faulty ?(strategy = fun _ -> Strategy.Flip_forwards)
       let before = Array.copy !gamma in
       let gamma', stores, stats =
         Phase_driver.run_phase ~g ~f ~cap_f ~cap_t:Nodeset.empty
-          ~model:Engine.Local_broadcast ~inputs ~faulty ~strategy ~seed
+          ~model:Engine.Local_broadcast ~inputs ~faulty ~strategy ~seed ~paths
           ~phase_idx:!phase_idx !gamma
       in
       gamma := gamma';

@@ -130,7 +130,13 @@ let heard_from_transcript g ~who transcript =
      list is built once. In a run, [sp] is the table the honest flood
      stores intern into, so a prefix's list is the very object the
      phase-1 relays transmitted and a claim lookup compares it without
-     walking it.
+     walking it;
+   - the graph's reusable disjoint-path network, which every family
+     query runs on;
+   - the scratch of [discover]'s prefix memo: per flipped value, an int
+     array indexed by prefix id. An entry is only read back by the
+     [discover] call that wrote it (its epoch), so it carries nothing
+     from one node to the next.
 
    Nothing in a scope depends on a node's own observations, so sharing
    one cannot change a result; the per-node memo tables (and the packing
@@ -147,9 +153,11 @@ type index = {
   has_key : bool Itbl.t;
 }
 
-(* One discovery path: the route w..u and, per position, the node and
-   the id of the path prefix before it. *)
-type scan_path = { route : int list; steps : (int * P.id) array }
+(* One discovery path: the route w..u, its nodes, and the ids of its
+   prefixes: [prefixes.(i)] is the id of the first [i] nodes, so node
+   [i]'s transmission carries [prefixes.(i)] and [prefixes.(i + 1)] is the
+   prefix through it. *)
+type scan_path = { route : int list; nodes : int array; prefixes : P.id array }
 
 type scope = {
   g : G.t;
@@ -160,6 +168,10 @@ type scope = {
          invalid id: numbered -2, -3, ... *)
   indexes : (report list, index) Hashtbl.t;
   families : scan_path list Itbl.t; (* by (limit, w, u) *)
+  uv : Lbc_graph.Disjoint.network;
+  mutable memo : int array array;
+      (* by flipped value, then prefix id: [epoch lsl 2 lor evidence] *)
+  mutable epoch : int; (* of the running [discover] call *)
 }
 
 let scope_over g sp =
@@ -170,6 +182,9 @@ let scope_over g sp =
     exotic = [];
     indexes = Hashtbl.create 64;
     families = Itbl.create 256;
+    uv = Lbc_graph.Disjoint.network g;
+    memo = [| [||]; [||] |];
+    epoch = 0;
   }
 
 let create_scope g = scope_over g (P.create g)
@@ -255,12 +270,29 @@ let index_of scope reports =
       Hashtbl.replace scope.indexes reports idx;
       idx
 
+(* Make room in the prefix memo for ids up to [pid]; entries copied
+   over keep their epochs. *)
+let reserve_memo scope pid =
+  let len = Array.length scope.memo.(0) in
+  if pid >= len then
+    scope.memo <-
+      Array.map
+        (fun a ->
+          let a' = Array.make (max (pid + 1) (2 * len)) 0 in
+          Array.blit a 0 a' 0 len;
+          a')
+        scope.memo
+
 let scan_path_of scope route =
-  let rec go pid acc = function
-    | [] -> Array.of_list (List.rev acc)
-    | z :: rest -> go (P.extend scope.sp pid z) ((z, pid) :: acc) rest
-  in
-  { route; steps = go P.root [] route }
+  let nodes = Array.of_list route in
+  let prefixes = Array.make (Array.length nodes + 1) P.root in
+  Array.iteri
+    (fun i z -> prefixes.(i + 1) <- P.extend scope.sp prefixes.(i) z)
+    nodes;
+  (* A prefix is interned before its extensions, so the full route has
+     the largest id. *)
+  reserve_memo scope prefixes.(Array.length nodes);
+  { route; nodes; prefixes }
 
 let family scope ~limit ~w ~u =
   let key = (((limit * scope.n) + w) * scope.n) + u in
@@ -269,7 +301,7 @@ let family scope ~limit ~w ~u =
   | None ->
       let ps =
         List.map (scan_path_of scope)
-          (Lbc_graph.Disjoint.disjoint_uv_paths ~limit scope.g ~u:w ~v:u)
+          (Lbc_graph.Disjoint.uv_paths ~limit scope.uv ~u:w ~v:u)
       in
       Itbl.replace scope.families key ps;
       ps
@@ -415,10 +447,40 @@ let sent (a : attribution) ~f ~z ~(m : Bit.t Flood.wire) =
 let silent_on (a : attribution) ~f ~z ~path =
   a.silent_pid ~f ~z ~pid:(pid_of a.scope path)
 
-(* Scan prefixes are ids of the scope [learns] was built in. *)
+let no_evidence = 0
+let tamper = 1
+let omission = 2
+
+(* Scan prefixes are ids of the scope [learns] was built in.
+
+   The evidence on the node at position i of a scanned path depends only
+   on the prefix through it (which fixes the node and the prefix its
+   transmission carries) and on the flipped value: the paths from one w
+   share most of their prefixes, so each (prefix, value) is evaluated
+   once per call and read back from the scope's memo after that. The
+   memo only skips repeats of queries [learns] has already memoised, so
+   the queries that reach the packing layer, and its counters, are the
+   ones a plain scan makes. *)
 let discover g ~f ~me ~store1 ~(learns : attribution)
     ?(trace = fun ~w:_ ~u:_ ~path:_ ~z:_ ~kind:_ -> ()) () =
   let scope = learns.scope in
+  scope.epoch <- scope.epoch + 1;
+  let epoch = scope.epoch in
+  let evidence ~bbar ~z ~before ~through =
+    let memo = scope.memo.(Bit.to_int bbar) in
+    let cell = memo.(through) in
+    if cell lsr 2 = epoch then cell land 3
+    else begin
+      let e =
+        if z = me then no_evidence
+        else if learns.sent_pid ~f ~z ~value:bbar ~pid:before then tamper
+        else if learns.silent_pid ~f ~z ~pid:before then omission
+        else no_evidence
+      in
+      memo.(through) <- (epoch lsl 2) lor e;
+      e
+    end
+  in
   let detected = ref Nodeset.empty in
   let n = G.size g in
   for w = 0 to n - 1 do
@@ -433,17 +495,19 @@ let discover g ~f ~me ~store1 ~(learns : attribution)
                    position i carries the path prefix before it. The first
                    node with reliable tamper OR omission evidence is
                    provably faulty. *)
-                let steps = p.steps in
                 let rec scan i =
-                  if i < Array.length steps then begin
-                    let z, pid = steps.(i) in
-                    if z <> me && learns.sent_pid ~f ~z ~value:bbar ~pid
-                    then begin
+                  if i < Array.length p.nodes then begin
+                    let z = p.nodes.(i) in
+                    let e =
+                      evidence ~bbar ~z ~before:p.prefixes.(i)
+                        ~through:p.prefixes.(i + 1)
+                    in
+                    if e = tamper then begin
                       trace ~w ~u ~path:p.route ~z ~kind:"tamper";
                       Lbc_obs.Obs.incr "a2.evidence.tamper";
                       detected := Nodeset.add z !detected
                     end
-                    else if z <> me && learns.silent_pid ~f ~z ~pid then begin
+                    else if e = omission then begin
                       trace ~w ~u ~path:p.route ~z ~kind:"omission";
                       Lbc_obs.Obs.incr "a2.evidence.omission";
                       detected := Nodeset.add z !detected

@@ -74,7 +74,15 @@ type scope
     - the claim/key index of each distinct report list, canonicalised by
       structural equality, and the answers it has given;
     - the [2f] disjoint [w]→[u] path families of {!discover} and their
-      interned scan steps.
+      interned scan steps (each step's node, the prefix before it and
+      the prefix through it);
+    - the graph's {!Lbc_graph.Disjoint.network}, built with the scope,
+      on which every family is computed;
+    - the scratch of {!discover}'s prefix memo: for each flipped value,
+      an int array indexed by prefix id recording the evidence found on
+      the node that ends the prefix. Each {!discover} call stamps its
+      entries with a fresh epoch and reads back only its own, so nothing
+      carries over from one node to the next.
 
     Results never depend on the scope: a call with a shared scope returns
     exactly what the same call with a fresh one returns, and records the
@@ -121,7 +129,10 @@ val discover :
   Lbc_graph.Nodeset.t
 (** The fault-discovery procedure; [trace] observes each detection (the
     origin [w], the far end [u], the scanned path and the evidence
-    kind). It uses the scope [learns] was built in. *)
+    kind). It uses the scope [learns] was built in. The evidence on a
+    scan prefix is evaluated once per call and memoised in the scope;
+    detections, their order and the counters are those of a scan that
+    asks {!sent} and {!silent_on} at every step. *)
 
 val run :
   g:Lbc_graph.Graph.t ->

@@ -69,6 +69,9 @@ let run ~g ~f ~t ~inputs ~faulty ?(equivocators = Nodeset.empty)
   let deliveries = ref 0 in
   let phase_idx = ref 0 in
   let decisive = ref 0 in
+  (* One path intern table for the honest stores of every phase, as in
+     Algorithm1.run. *)
+  let paths = Lbc_flood.Path_intern.create g in
   List.iter
     (fun (cap_t, cap_f) ->
       (* Stop between phases once the domain's round budget is spent,
@@ -79,7 +82,7 @@ let run ~g ~f ~t ~inputs ~faulty ?(equivocators = Nodeset.empty)
       let before = Array.copy !gamma in
       let gamma', _stores, stats =
         Phase_driver.run_phase ~g ~f ~cap_f ~cap_t ~model ~inputs ~faulty
-          ~strategy ~seed ~phase_idx:!phase_idx !gamma
+          ~strategy ~seed ~paths ~phase_idx:!phase_idx !gamma
       in
       gamma := gamma';
       let changed = ref false in

@@ -4,7 +4,7 @@ module Engine = Lbc_sim.Engine
 module Strategy = Lbc_adversary.Strategy
 
 let run_phase ~g ~f ~cap_f ~cap_t ~model ~inputs ~faulty ~strategy ~seed
-    ~phase_idx gamma =
+    ~paths ~phase_idx gamma =
   let n = Lbc_graph.Graph.size g in
   let topo = Engine.topology_of_graph g in
   let roles =
@@ -17,8 +17,8 @@ let run_phase ~g ~f ~cap_f ~cap_t ~model ~inputs ~faulty ~strategy ~seed
         else
           Engine.Honest
             (Flood.proc
-               (Flood.create g ~me:v ~vcompare:Bit.compare ~initiate:gamma.(v)
-                  ~default:Bit.default ())))
+               (Flood.create g ~me:v ~vcompare:Bit.compare ~paths
+                  ~initiate:gamma.(v) ~default:Bit.default ())))
   in
   let result = Engine.run topo ~model ~rounds:(Flood.rounds_needed g) ~roles in
   let gamma' =

@@ -12,6 +12,7 @@ val run_phase :
   faulty:Lbc_graph.Nodeset.t ->
   strategy:(int -> Lbc_adversary.Strategy.kind) ->
   seed:int ->
+  paths:Lbc_flood.Path_intern.t ->
   phase_idx:int ->
   Bit.t array ->
   Bit.t array * Bit.t Lbc_flood.Flood.store option array * Lbc_sim.Engine.stats
@@ -19,4 +20,7 @@ val run_phase :
     honest nodes' flood stores ([None] for faulty nodes — for observers
     and white-box tests), and the phase's engine statistics. Faulty nodes
     keep their [gamma] entry unchanged (it is not meaningful). [seed] and
-    [phase_idx] derandomise the adversarial strategies per phase. *)
+    [phase_idx] derandomise the adversarial strategies per phase. The
+    honest flood stores intern their paths in [paths]; an execution
+    passes the same table to all its phases, which changes no result
+    (see {!Lbc_flood.Flood.create}). *)

@@ -28,20 +28,6 @@ val max_disjoint_directed :
     paths searched for. Each returned path lists its nodes from source to
     [sink] inclusive. *)
 
-val max_disjoint_directed_uv :
-  n:int ->
-  adj:(int -> int list) ->
-  src:int ->
-  sink:int ->
-  ?excluded:Nodeset.t ->
-  ?limit:int ->
-  unit ->
-  int list list
-(** Like {!max_disjoint_directed} but with a single origin [src] shared by
-    all paths: the returned paths are internally disjoint [src]-[sink]
-    paths (they share exactly their two endpoints). [src] cannot occur as
-    an internal node of any path. *)
-
 val disjoint_uv_paths :
   ?excluded:Nodeset.t ->
   ?limit:int ->
@@ -51,11 +37,44 @@ val disjoint_uv_paths :
   int list list
 (** Maximum set of node-disjoint [uv]-paths in an undirected graph
     (internally disjoint; all start at [u] and end at [v]). [excluded]
-    nodes cannot be internal. @raise Invalid_argument if [u = v]. *)
+    nodes cannot be internal; ids in [excluded] that are not nodes of the
+    graph are ignored. [limit] caps the number of paths searched for.
+    Each call builds one {!network}; [uv_paths (network g)] answers the
+    same queries without rebuilding it.
+    @raise Invalid_argument if [u = v] or either is not a node. *)
 
 val count_uv : ?excluded:Nodeset.t -> ?limit:int -> Graph.t -> u:int -> v:int -> int
-(** [count_uv g ~u ~v] is [List.length (disjoint_uv_paths g ~u ~v)], without
-    materialising the paths differently. *)
+(** [count_uv g ~u ~v] is [List.length (disjoint_uv_paths g ~u ~v)], read
+    off the flow value without decomposing it into paths. *)
+
+type network
+(** The flow network of one graph, reusable for every [uv] query on it.
+    It holds each node's split arc, an arc per direction of every edge,
+    and a super-source arc to every node; a query resets the capacities
+    and switches off the arcs it must not use (the splits of [u], [v]
+    and the excluded nodes, every super-source arc but [u]'s), and caps
+    [u]'s direct edge to [v] at one path.
+
+    {b Reuse contract.} {!uv_paths} on one network returns, for every
+    query and in any sequence of queries, exactly the list that
+    {!disjoint_uv_paths} on the graph returns: the same paths, in the
+    same order. Every arc usable in a query sits in the same relative
+    order as in a network built for that query alone, and the arcs
+    switched off never carry flow, so the searches take the same
+    augmenting paths (the argument is spelt out in the implementation).
+
+    A network is mutable scratch: it must stay on one domain, and its
+    queries must not interleave. *)
+
+val network : Graph.t -> network
+(** [network g] builds the reusable [uv] network of [g]: [2 n + 1]
+    vertices and [2 n + 2 |E|] arcs, each with its residual twin. *)
+
+val uv_paths :
+  ?excluded:Nodeset.t -> ?limit:int -> network -> u:int -> v:int -> int list list
+(** [uv_paths t ~u ~v] is [disjoint_uv_paths g ~u ~v] for the graph [t]
+    was built on, computed on [t].
+    @raise Invalid_argument if [u = v] or either is not a node. *)
 
 val disjoint_set_paths :
   ?excluded:Nodeset.t ->
@@ -74,12 +93,13 @@ val connectivity : Graph.t -> int
     pairs of the maximum number of internally disjoint paths. Only the
     pairs [(u, v)], [u < v], with [u] below the running minimum are
     tried (the pruning of Even's algorithm; the proof is in the
-    implementation). *)
+    implementation). All counts run on one {!network}. *)
 
 val connectivity_at_least : Graph.t -> int -> bool
 (** [connectivity_at_least g k] decides κ(G) ≥ k, with early termination
     (cheaper than computing κ exactly). [true] for [k <= 0]. Only the
-    pairs [(u, v)], [u < v < n], with [u < k] are tried. *)
+    pairs [(u, v)], [u < v < n], with [u < k] are tried, on one
+    {!network}. *)
 
 val min_vertex_cut : Graph.t -> Nodeset.t
 (** A minimum vertex cut: a set of κ(G) nodes whose removal disconnects

@@ -2,16 +2,38 @@
 
     Small, dependency-free max-flow used to compute Menger-style
     node-disjoint path counts. Networks are built imperatively; every
-    [add_edge] creates a forward arc and its zero-capacity residual twin. *)
+    [add_edge] creates a forward arc and its zero-capacity residual twin.
+
+    {b Reuse.} A network can answer many queries: {!reset} puts every arc
+    back to the capacity it was added with, and {!set_capacity} adjusts
+    single arcs before the next {!max_flow}. The breadth-first search
+    scratch lives in the network, so a query allocates nothing per
+    augmentation.
+
+    {b Arc order.} Searches and {!take_flow} visit the arcs leaving a
+    vertex newest first, so results depend on the order arcs were added
+    in. An arc whose capacity is zero for a whole query never carries
+    flow, and neither does its twin; such arcs are skipped and do not
+    affect the order in which the remaining ones are visited. *)
 
 type t
 
 val create : int -> t
 (** [create n] is an empty network on vertices [0 .. n - 1]. *)
 
-val add_edge : t -> src:int -> dst:int -> cap:int -> unit
-(** Add a directed arc with the given non-negative capacity. Parallel arcs
-    are permitted (capacities add up behaviourally). *)
+val add_edge : t -> src:int -> dst:int -> cap:int -> int
+(** Add a directed arc with the given non-negative capacity and return
+    its id. Parallel arcs are permitted (capacities add up
+    behaviourally). *)
+
+val set_capacity : t -> int -> int -> unit
+(** [set_capacity t arc c] sets the remaining capacity of [arc] (an id
+    returned by {!add_edge}) to [c], until the next {!reset}. Meant for
+    a network that carries no flow, right after {!reset}. *)
+
+val reset : t -> unit
+(** Remove all flow and restore every arc to the capacity it was added
+    with. *)
 
 val max_flow : ?limit:int -> t -> src:int -> sink:int -> int
 (** [max_flow t ~src ~sink] computes the maximum flow value and leaves the
@@ -19,15 +41,10 @@ val max_flow : ?limit:int -> t -> src:int -> sink:int -> int
     soon as the flow reaches [k] (useful for threshold queries). Calling it
     again on the same network resumes from the current flow. *)
 
-val flow_successors : t -> int -> int list
-(** After [max_flow]: the vertices [v] such that some arc [u -> v] carries
-    at least one unit of flow, with multiplicity (an arc carrying [k] units
-    appears [k] times). Used for path decomposition. *)
-
-val consume_flow_edge : t -> src:int -> dst:int -> bool
-(** After [max_flow]: remove one unit of flow from some arc [src -> dst];
-    [false] if no such arc carries flow. Used while decomposing the flow
-    into paths. *)
+val take_flow : t -> int -> int option
+(** After [max_flow]: remove one unit of flow from the first arc leaving
+    [u] that carries flow, and return that arc's head; [None] if no arc
+    leaving [u] carries flow. Used to decompose the flow into paths. *)
 
 val residual_reachable : t -> src:int -> Nodeset.t
 (** After [max_flow]: the set of vertices reachable from [src] in the

@@ -222,14 +222,19 @@ let prop_random_f1_cycleplus =
       end)
 
 (* The scope that run_traced shares across its honest nodes changes
-   nothing. Each honest node's fault discovery is replayed twice on the
-   run's own stores: standalone (no scope, so every call builds its own),
-   and through one shared scope visited in node order, as run_traced
-   does. Both must reproduce the run's node report, trace the same
-   evidence in the same order, and record the same counters. On fig1b
-   the two faults both flip forwards, so a report list flipped twice —
-   structurally equal to the original, physically a different list —
-   reaches the attribution indexes. *)
+   nothing, and neither does discover's prefix memo. Each honest node's
+   fault discovery is replayed twice on the run's own stores: standalone
+   (no scope, so every call builds its own), and through one shared scope
+   visited in node order, as run_traced does. Both must reproduce the
+   run's node report, trace the same evidence in the same order, and
+   record the same counters. A third side, [plain_scan], runs the scan
+   with no memo and no interning: every step of every path of the
+   fresh-network reference families, asked through the public
+   list-keyed queries. Its detected set, evidence sequence and evidence
+   counts must equal the replays'. On fig1b the two faults both flip
+   forwards, so a report list flipped twice — structurally equal to the
+   original, physically a different list — reaches the attribution
+   indexes. *)
 let replay ?scope g ~f ~(t : A2.traced) v =
   match (t.A2.store1.(v), t.A2.store2.(v)) with
   | Some store1, Some store2 ->
@@ -265,6 +270,59 @@ let replay ?scope g ~f ~(t : A2.traced) v =
       let trace = List.rev !trace in
       Some (detected, trace, obs.Lbc_obs.Obs.counters, List.for_all agrees trace)
   | _ -> None
+
+let plain_scan g ~f ~(t : A2.traced) v =
+  match (t.A2.store1.(v), t.A2.store2.(v)) with
+  | Some store1, Some store2 ->
+      let learns =
+        A2.attribution_index g ~me:v ~heard:t.A2.heard.(v) ~store2
+      in
+      let detected = ref Nodeset.empty and trace = ref [] in
+      let tamper = ref 0 and omission = ref 0 in
+      let n = G.size g in
+      for w = 0 to n - 1 do
+        List.iter
+          (fun b ->
+            let value = Bit.flip b in
+            for u = 0 to n - 1 do
+              if u <> w then
+                List.iter
+                  (fun path ->
+                    let found z kind count =
+                      trace := (w, u, path, z, kind) :: !trace;
+                      incr count;
+                      detected := Nodeset.add z !detected
+                    in
+                    let rec scan before = function
+                      | [] -> ()
+                      | z :: rest ->
+                          let prefix = List.rev before in
+                          if
+                            z <> v
+                            && A2.sent learns ~f ~z
+                                 ~m:{ Lbc_flood.Flood.value; path = prefix }
+                          then found z "tamper" tamper
+                          else if z <> v && A2.silent_on learns ~f ~z ~path:prefix
+                          then found z "omission" omission
+                          else scan (z :: before) rest
+                    in
+                    scan [] path)
+                  (Disjoint_reference.disjoint_uv_paths ~limit:(2 * f) g ~u:w
+                     ~v:u)
+            done)
+          (Lbc_flood.Flood.reliable_values ~f store1 ~origin:w)
+      done;
+      let counts =
+        List.filter
+          (fun (_, c) -> c > 0)
+          [ ("a2.evidence.omission", !omission); ("a2.evidence.tamper", !tamper) ]
+      in
+      Some (!detected, List.rev !trace, counts)
+  | _ -> None
+
+let evidence_counters =
+  List.filter (fun (name, _) ->
+      String.starts_with ~prefix:"a2.evidence." name)
 
 let scope_case =
   let kinds = Array.of_list S.kinds_lbc in
@@ -302,15 +360,20 @@ let prop_scope_transparent =
           match
             ( t.A2.node_reports.(v),
               replay g ~f ~t v,
-              replay ~scope:shared g ~f ~t v )
+              replay ~scope:shared g ~f ~t v,
+              plain_scan g ~f ~t v )
           with
-          | None, None, None -> true
-          | Some r, Some (alone, trace, obs, ok), Some (alone', trace', obs', _)
-            ->
+          | None, None, None, None -> true
+          | ( Some r,
+              Some (alone, trace, obs, ok),
+              Some (alone', trace', obs', _),
+              Some (plain, trace'', counts) ) ->
               ok
               && Nodeset.equal r.A2.detected alone
               && r.A2.type_a = (Nodeset.cardinal alone = f)
               && Nodeset.equal alone alone' && trace = trace' && obs = obs'
+              && Nodeset.equal alone plain && trace = trace''
+              && evidence_counters obs = counts
           | _ -> false)
         (G.nodes g))
 

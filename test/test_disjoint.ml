@@ -9,6 +9,7 @@ module Nodeset = Lbc_graph.Nodeset
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let add net ~src ~dst ~cap = ignore (MF.add_edge net ~src ~dst ~cap : int)
 
 (* ------------------------------------------------------------------ *)
 (* Raw max flow                                                        *)
@@ -17,49 +18,64 @@ let check_int = Alcotest.(check int)
 let test_maxflow_simple () =
   (* s=0 -> 1 -> t=2, all capacity 1. *)
   let net = MF.create 3 in
-  MF.add_edge net ~src:0 ~dst:1 ~cap:1;
-  MF.add_edge net ~src:1 ~dst:2 ~cap:1;
+  add net ~src:0 ~dst:1 ~cap:1;
+  add net ~src:1 ~dst:2 ~cap:1;
   check_int "unit" 1 (MF.max_flow net ~src:0 ~sink:2)
 
 let test_maxflow_parallel () =
   let net = MF.create 4 in
-  MF.add_edge net ~src:0 ~dst:1 ~cap:1;
-  MF.add_edge net ~src:0 ~dst:2 ~cap:1;
-  MF.add_edge net ~src:1 ~dst:3 ~cap:1;
-  MF.add_edge net ~src:2 ~dst:3 ~cap:1;
+  add net ~src:0 ~dst:1 ~cap:1;
+  add net ~src:0 ~dst:2 ~cap:1;
+  add net ~src:1 ~dst:3 ~cap:1;
+  add net ~src:2 ~dst:3 ~cap:1;
   check_int "two" 2 (MF.max_flow net ~src:0 ~sink:3)
 
 let test_maxflow_bottleneck () =
   let net = MF.create 4 in
-  MF.add_edge net ~src:0 ~dst:1 ~cap:5;
-  MF.add_edge net ~src:1 ~dst:2 ~cap:2;
-  MF.add_edge net ~src:2 ~dst:3 ~cap:5;
+  add net ~src:0 ~dst:1 ~cap:5;
+  add net ~src:1 ~dst:2 ~cap:2;
+  add net ~src:2 ~dst:3 ~cap:5;
   check_int "bottleneck 2" 2 (MF.max_flow net ~src:0 ~sink:3)
 
 let test_maxflow_needs_residual () =
   (* Classic case where a greedy path must be partially undone. *)
   let net = MF.create 4 in
-  MF.add_edge net ~src:0 ~dst:1 ~cap:1;
-  MF.add_edge net ~src:0 ~dst:2 ~cap:1;
-  MF.add_edge net ~src:1 ~dst:2 ~cap:1;
-  MF.add_edge net ~src:1 ~dst:3 ~cap:1;
-  MF.add_edge net ~src:2 ~dst:3 ~cap:1;
+  add net ~src:0 ~dst:1 ~cap:1;
+  add net ~src:0 ~dst:2 ~cap:1;
+  add net ~src:1 ~dst:2 ~cap:1;
+  add net ~src:1 ~dst:3 ~cap:1;
+  add net ~src:2 ~dst:3 ~cap:1;
   check_int "two despite diagonal" 2 (MF.max_flow net ~src:0 ~sink:3)
 
 let test_maxflow_limit () =
   let net = MF.create 2 in
-  MF.add_edge net ~src:0 ~dst:1 ~cap:10;
+  add net ~src:0 ~dst:1 ~cap:10;
   check_int "limited" 3 (MF.max_flow ~limit:3 net ~src:0 ~sink:1)
 
 let test_maxflow_disconnected () =
   let net = MF.create 3 in
-  MF.add_edge net ~src:0 ~dst:1 ~cap:1;
+  add net ~src:0 ~dst:1 ~cap:1;
   check_int "zero" 0 (MF.max_flow net ~src:0 ~sink:2)
+
+let test_maxflow_reset () =
+  (* 0 -> 1 -> 2 with a unit middle arc; raising it doubles the flow,
+     and [reset] brings back both the added capacities and zero flow. *)
+  let net = MF.create 3 in
+  add net ~src:0 ~dst:1 ~cap:2;
+  let mid = MF.add_edge net ~src:1 ~dst:2 ~cap:1 in
+  check_int "as added" 1 (MF.max_flow net ~src:0 ~sink:2);
+  MF.reset net;
+  MF.set_capacity net mid 2;
+  check_int "raised" 2 (MF.max_flow net ~src:0 ~sink:2);
+  check "flow leaves 1 towards 2" true (MF.take_flow net 1 = Some 2);
+  MF.reset net;
+  check "no flow after reset" true (MF.take_flow net 1 = None);
+  check_int "restored" 1 (MF.max_flow net ~src:0 ~sink:2)
 
 let test_residual_reachable () =
   let net = MF.create 3 in
-  MF.add_edge net ~src:0 ~dst:1 ~cap:1;
-  MF.add_edge net ~src:1 ~dst:2 ~cap:1;
+  add net ~src:0 ~dst:1 ~cap:1;
+  add net ~src:1 ~dst:2 ~cap:1;
   let (_ : int) = MF.max_flow net ~src:0 ~sink:2 in
   let r = MF.residual_reachable net ~src:0 in
   check "only source side" true (Nodeset.equal r (Nodeset.singleton 0))
@@ -360,6 +376,81 @@ let prop_pruned_connectivity =
            (fun k -> D.connectivity_at_least g k = reference_at_least g k)
            (List.init (G.size g + 2) Fun.id))
 
+(* One reused network against the fresh-network reference
+   (disjoint_reference.ml). Each generated graph gets one network and a
+   random sequence of at least 20 queries on it, so a capacity left over
+   from an earlier query shows up in a later one: adjacent and
+   non-adjacent pairs, [excluded] sets that may hold u, v and ids outside
+   the graph, and limits None and 0..4. The paths must be the same lists
+   in the same order; connectivity, connectivity_at_least (k <= 4) and
+   min_vertex_cut must agree too. *)
+module R = Disjoint_reference
+
+let arb_query_case =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 2 12) (int_range 0 10000) (int_range 1 9)
+        (int_range 0 10000))
+  in
+  let print (n, seed, p, qseed) =
+    Format.asprintf "%a (queries seed %d)" G.pp
+      (B.random_gnp ~seed n (float_of_int p /. 10.))
+      qseed
+  in
+  QCheck.make ~print gen
+
+let random_query st g =
+  let n = G.size g in
+  let u = Random.State.int st n in
+  let v =
+    match G.neighbor_list g u with
+    | _ :: _ as ys when Random.State.bool st ->
+        List.nth ys (Random.State.int st (List.length ys))
+    | _ -> (u + 1 + Random.State.int st (n - 1)) mod n
+  in
+  let excluded =
+    List.filter
+      (fun _ -> Random.State.int st 4 = 0)
+      (List.init (n + 3) (fun x -> x - 1))
+    |> Nodeset.of_list
+  in
+  let limit =
+    match Random.State.int st 6 with 5 -> None | k -> Some k
+  in
+  (u, v, excluded, limit)
+
+let cut_or_error f g =
+  match f g with
+  | cut -> Ok cut
+  | exception Invalid_argument msg -> Error msg
+
+let prop_reused_network_matches_reference =
+  QCheck.Test.make ~name:"reused uv network = fresh-network reference"
+    ~count:200 arb_query_case (fun (n, seed, p, qseed) ->
+      let g = B.random_gnp ~seed n (float_of_int p /. 10.) in
+      let st = Random.State.make [| qseed |] in
+      let net = D.network g in
+      let rec queries k =
+        k = 0
+        ||
+        let u, v, excluded, limit = random_query st g in
+        D.uv_paths ~excluded ?limit net ~u ~v
+        = R.disjoint_uv_paths ~excluded ?limit g ~u ~v
+        && D.count_uv ~excluded ?limit g ~u ~v
+           = R.count_uv ~excluded ?limit g ~u ~v
+        && queries (k - 1)
+      in
+      queries (20 + Random.State.int st 20)
+      && D.connectivity g = R.connectivity g
+      && List.for_all
+           (fun k -> D.connectivity_at_least g k = R.connectivity_at_least g k)
+           [ 0; 1; 2; 3; 4 ]
+      &&
+      match (cut_or_error D.min_vertex_cut g, cut_or_error R.min_vertex_cut g) with
+      | Ok a, Ok b -> Nodeset.equal a b
+      | Error _, Error _ -> true
+      | _ -> false)
+
 let prop_connectivity_le_min_degree =
   QCheck.Test.make ~name:"κ(G) <= min degree" ~count:60 arb_connected_graph
     (fun g -> D.connectivity g <= G.min_degree g)
@@ -405,6 +496,7 @@ let () =
           Alcotest.test_case "limit" `Quick test_maxflow_limit;
           Alcotest.test_case "disconnected" `Quick test_maxflow_disconnected;
           Alcotest.test_case "reachable" `Quick test_residual_reachable;
+          Alcotest.test_case "reset" `Quick test_maxflow_reset;
         ] );
       ( "uv paths",
         [
@@ -449,5 +541,6 @@ let () =
             prop_connectivity_le_min_degree;
             prop_removal_of_cut_disconnects;
             prop_pruned_connectivity;
+            prop_reused_network_matches_reference;
           ] );
     ]
