@@ -33,9 +33,10 @@
 #   - an output-identity gate on four lbcbench workloads: one pass each
 #     of cycle64-a2 and fig1b-a2 (Algorithm 2), cycle5-exhaustive
 #     (Algorithms 1 and 2 on the E1 grid) and durable-chaos (chaos,
-#     network profiles, journal and result cache) at seed 1 must print
-#     the pinned verdict_digest, so a speed-up that changes any verdict
-#     or deterministic counter fails here;
+#     network profiles, journal and result cache) at seed 1, plus
+#     fig1b-a2 at seed 2, must print the pinned verdict_digest, so a
+#     speed-up that changes any verdict or deterministic counter fails
+#     here;
 #   - the deep lint gate runs twice through a fresh --deep-cache
 #     directory with --sarif: the warm run must be all hits and its
 #     SARIF artifact byte-identical to the cold run's;
@@ -291,24 +292,29 @@ echo "perf smoke OK: fingerprint $efp1, packing.cache_hit $hits"
 
 echo "== lbcbench output identity: pinned verdict digests =="
 # verdict_digest is the FNV-1a of a pass's deterministic artifact string
-# (verdicts plus counters). The Algorithm 2 pins were printed before
-# Algorithm 2 began sharing per-run work across nodes, the other two
-# before Algorithms 1 and 3 shared one path intern table per execution;
-# a change that means to keep outputs byte-identical must reproduce them.
+# (verdicts plus counters). Pins are workload:seed:digest. The seed-1
+# Algorithm 2 pins were printed before Algorithm 2 began sharing per-run
+# work across nodes, the other two seed-1 pins before Algorithms 1 and 3
+# shared one path intern table per execution, and the fig1b-a2 seed-2
+# pin before attribution found report-list indexes by identity; a change
+# that means to keep outputs byte-identical must reproduce them.
 dune build bench/perf/lbcbench.exe
 mkdir -p "$tmp/lbcbench"
-for pin in cycle64-a2:1cbf1dce176da0d3 fig1b-a2:23bb21df5db4bfb5 \
-    cycle5-exhaustive:032d835190705bd6 durable-chaos:2959c34c14ba1a6f; do
+for pin in cycle64-a2:1:1cbf1dce176da0d3 fig1b-a2:1:23bb21df5db4bfb5 \
+    fig1b-a2:2:03a243a3f90b4498 cycle5-exhaustive:1:032d835190705bd6 \
+    durable-chaos:1:2959c34c14ba1a6f; do
   w=${pin%%:*}
-  want=${pin#*:}
+  rest=${pin#*:}
+  seed=${rest%%:*}
+  want=${rest#*:}
   TMPDIR="$tmp/lbcbench" ./_build/default/bench/perf/lbcbench.exe run \
-    --workload "$w" --seed 1 --seconds 0 --out "$tmp/lbcbench/$w.json" \
-    > "$tmp/lbcbench/$w.txt"
-  got=$(awk '$1 == "verdict_digest" { print $2 }' "$tmp/lbcbench/$w.txt")
+    --workload "$w" --seed "$seed" --seconds 0 \
+    --out "$tmp/lbcbench/$w-$seed.json" > "$tmp/lbcbench/$w-$seed.txt"
+  got=$(awk '$1 == "verdict_digest" { print $2 }' "$tmp/lbcbench/$w-$seed.txt")
   [ "$got" = "$want" ] \
-    || { echo "FAIL: $w verdict_digest $got, pinned $want";
-         cat "$tmp/lbcbench/$w.txt"; exit 1; }
-  echo "$w: verdict_digest $got"
+    || { echo "FAIL: $w seed $seed verdict_digest $got, pinned $want";
+         cat "$tmp/lbcbench/$w-$seed.txt"; exit 1; }
+  echo "$w seed $seed: verdict_digest $got"
 done
 
 echo "== bench results artifact =="

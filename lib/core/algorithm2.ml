@@ -124,7 +124,8 @@ let heard_from_transcript g ~who transcript =
    - the claim/key index of each distinct report list, canonicalised by
      structural equality (a list that was flipped twice is a different
      allocation but the same index), together with the answers it has
-     given so far, keyed on ints;
+     given so far, keyed on ints; and, per reporter, the list objects
+     already met from it with their indexes (see [index_of]);
    - the 2f disjoint w→u path families of fault discovery, each with its
      scan steps interned in [sp], so that a scan prefix is an int and its
      list is built once. In a run, [sp] is the table the honest flood
@@ -167,6 +168,8 @@ type scope = {
       (* queried paths that leave the node range, which [sp] maps to one
          invalid id: numbered -2, -3, ... *)
   indexes : (report list, index) Hashtbl.t;
+  met : (report list * index) list array;
+      (* by reporter: the list objects met from it, newest first *)
   families : scan_path list Itbl.t; (* by (limit, w, u) *)
   uv : Lbc_graph.Disjoint.network;
   mutable memo : int array array;
@@ -181,6 +184,7 @@ let scope_over g sp =
     sp;
     exotic = [];
     indexes = Hashtbl.create 64;
+    met = Array.make (G.size g) [];
     families = Itbl.create 256;
     uv = Lbc_graph.Disjoint.network g;
     memo = [| [||]; [||] |];
@@ -259,15 +263,36 @@ let mem_key scope idx ~z ~pid =
       Itbl.replace idx.has_key key b;
       b
 
-(* Structural lookup: a double-flipped copy finds its original's index.
-   The common case, the same list object met again, costs no walk:
-   [compare] answers physically equal arguments at once. *)
-let index_of scope reports =
-  match Hashtbl.find_opt scope.indexes reports with
+(* The index of the report list [reports] that a record from [reporter]
+   carries.
+
+   A run's records carry few distinct list objects: honest relays forward
+   a value allocation unchanged, and a tampering relay reuses one flipped
+   copy per list (see [memoized_flip_reports]). So a lookup first asks the
+   reporter's own short list of objects met so far, by physical identity;
+   its cost depends on how many variants of one reporter's list circulate,
+   not on n or on the lists' length. Only a list object met for the first
+   time goes to [indexes], whose structural lookup is expensive: the
+   polymorphic hash reads just the first few entries of a list, and under
+   local broadcast reporters that share a neighbour heard the same
+   transmissions first, so their lists share buckets and each probe
+   compares deep into other reporters' lists. That lookup still lets a
+   double-flipped copy find its original's index. Lists are immutable, so
+   the identity hit returns exactly what the structural lookup would. *)
+let index_of scope ~reporter reports =
+  let met = scope.met.(reporter) in
+  match List.assq_opt reports met with
   | Some idx -> idx
   | None ->
-      let idx = build_index reports in
-      Hashtbl.replace scope.indexes reports idx;
+      let idx =
+        match Hashtbl.find_opt scope.indexes reports with
+        | Some idx -> idx
+        | None ->
+            let idx = build_index reports in
+            Hashtbl.replace scope.indexes reports idx;
+            idx
+      in
+      scope.met.(reporter) <- (reports, idx) :: met;
       idx
 
 (* Make room in the prefix memo for ids up to [pid]; entries copied
@@ -354,7 +379,7 @@ let attribution_index ?scope g ~me ~heard ~store2 =
             Itbl.replace by_reporter reporter gs;
             gs
       in
-      let index = index_of scope reports in
+      let index = index_of scope ~reporter reports in
       let group =
         match List.find_opt (fun grp -> grp.index == index) !groups with
         | Some grp -> grp

@@ -73,6 +73,11 @@ type scope
       ints;
     - the claim/key index of each distinct report list, canonicalised by
       structural equality, and the answers it has given;
+    - per reporter, the report-list objects already met from it, with
+      their indexes. A record's index is found there by physical
+      identity; only a list object met for the first time pays the
+      structural lookup (hashing reads just a list's first entries, so
+      reporters' lists collide and a probe compares deep into them);
     - the [2f] disjoint [w]→[u] path families of {!discover} and their
       interned scan steps (each step's node, the prefix before it and
       the prefix through it);

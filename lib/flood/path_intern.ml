@@ -82,6 +82,11 @@ let grow t =
   t.simple <- extend true t.simple;
   t.nodes <- extend unbuilt t.nodes
 
+let issued t id = id >= 0 && id < t.count
+
+let check_id t id =
+  if not (issued t id) then invalid_arg "Path_intern: invalid id"
+
 let extend t pid u =
   if pid < 0 || u < 0 || u >= t.n then invalid
   else begin
@@ -89,6 +94,9 @@ let extend t pid u =
     match Edges.find_opt t.children key with
     | Some id -> id
     | None ->
+        (* Only issued ids have edges, so an unissued [pid] lands here;
+           refuse it before anything is written. *)
+        check_id t pid;
         if t.count = Array.length t.lens then grow t;
         let id = t.count in
         t.count <- id + 1;
@@ -110,9 +118,6 @@ let graph t = t.g
 
 let intern t path = List.fold_left (fun pid u -> extend t pid u) root path
 
-let check_id t id =
-  if id < 0 || id >= t.count then invalid_arg "Path_intern: invalid id"
-
 let path t id =
   check_id t id;
   let l = t.nodes.(id) in
@@ -126,7 +131,7 @@ let path t id =
     l
   end
 
-let length t id = if id < 0 then -1 else t.lens.(id)
+let length t id = if issued t id then t.lens.(id) else -1
 
 let first t id =
   check_id t id;
@@ -140,5 +145,5 @@ let mask t id =
   check_id t id;
   t.masks.(id)
 
-let is_path t id = id > root && id < t.count && t.simple.(id)
-let mem t id u = id >= 0 && Packing.mem t.masks.(id) u
+let is_path t id = id > root && issued t id && t.simple.(id)
+let mem t id u = issued t id && Packing.mem t.masks.(id) u

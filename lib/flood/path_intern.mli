@@ -59,13 +59,17 @@ val extend : t -> id -> int -> id
 (** [extend t pid u] is the id of [path pid · u] in O(1) (one probe of
     the table's int-keyed edge table). Stable: extending the same id by
     the same node always returns the same id. {!invalid} when [pid] is
-    {!invalid} or [u] is out of range. *)
+    {!invalid} or [u] is out of range.
+    @raise Invalid_argument if [pid] is past the last id this table
+    issued; the table is left unchanged. *)
 
 (** {1 Cached properties}
 
     All of these except {!path} are O(1) reads of values computed at
     intern time. Except for {!length}, {!is_path} and {!mem} (total, see
-    below), they raise [Invalid_argument] on {!invalid}. *)
+    below), they raise [Invalid_argument] on {!invalid} and on any id
+    the table never issued. The total three answer such an id as they
+    answer {!invalid}. *)
 
 val path : t -> id -> int list
 (** The interned path, origin first — structurally equal to the list
@@ -73,7 +77,8 @@ val path : t -> id -> int list
     O(length); later calls return the same allocation. *)
 
 val length : t -> id -> int
-(** Number of nodes on the path; [0] for {!root}, [-1] for {!invalid}. *)
+(** Number of nodes on the path; [0] for {!root}, [-1] for {!invalid}
+    and unissued ids. *)
 
 val first : t -> id -> int
 (** The origin ([-1] for {!root}). *)
@@ -86,7 +91,8 @@ val mask : t -> id -> Packing.mask
 
 val is_path : t -> id -> bool
 (** Is this a non-empty simple path of the graph — exactly
-    [Graph.is_path g (path t id)]? [false] for {!root} and {!invalid}. *)
+    [Graph.is_path g (path t id)]? [false] for {!root}, {!invalid} and
+    unissued ids. *)
 
 val mem : t -> id -> int -> bool
-(** Is node [u] on the path? [false] for {!invalid}. *)
+(** Is node [u] on the path? [false] for {!invalid} and unissued ids. *)

@@ -271,11 +271,25 @@ let replay ?scope g ~f ~(t : A2.traced) v =
       Some (detected, trace, obs.Lbc_obs.Obs.counters, List.for_all agrees trace)
   | _ -> None
 
-let plain_scan g ~f ~(t : A2.traced) v =
+(* An attribution query of the plain scan, for checking its answers. *)
+type query =
+  | Sent of int * Bit.t Lbc_flood.Flood.wire
+  | Silent of int * int list
+
+let plain_scan ?scope ?(answered = fun _ _ -> ()) g ~f ~(t : A2.traced) v =
   match (t.A2.store1.(v), t.A2.store2.(v)) with
   | Some store1, Some store2 ->
       let learns =
-        A2.attribution_index g ~me:v ~heard:t.A2.heard.(v) ~store2
+        A2.attribution_index ?scope g ~me:v ~heard:t.A2.heard.(v) ~store2
+      in
+      let ask q =
+        let a =
+          match q with
+          | Sent (z, m) -> A2.sent learns ~f ~z ~m
+          | Silent (z, path) -> A2.silent_on learns ~f ~z ~path
+        in
+        answered q a;
+        a
       in
       let detected = ref Nodeset.empty and trace = ref [] in
       let tamper = ref 0 and omission = ref 0 in
@@ -299,11 +313,12 @@ let plain_scan g ~f ~(t : A2.traced) v =
                           let prefix = List.rev before in
                           if
                             z <> v
-                            && A2.sent learns ~f ~z
-                                 ~m:{ Lbc_flood.Flood.value; path = prefix }
+                            && ask
+                                 (Sent
+                                    (z, { Lbc_flood.Flood.value; path = prefix }))
                           then found z "tamper" tamper
-                          else if z <> v && A2.silent_on learns ~f ~z ~path:prefix
-                          then found z "omission" omission
+                          else if z <> v && ask (Silent (z, prefix)) then
+                            found z "omission" omission
                           else scan (z :: before) rest
                     in
                     scan [] path)
@@ -336,24 +351,27 @@ let scope_case =
   in
   (QCheck.make ~print gen, kinds)
 
+(* One run of a [scope_case]: the graph, f, and the run's white-box
+   view. *)
+let scope_run kinds (fig, seed, k) =
+  let st = Random.State.make [| seed; 14 |] in
+  let g, f, faulty, kind =
+    if fig then
+      let i = Random.State.int st 8 in
+      let j = (i + 1 + Random.State.int st 7) mod 8 in
+      (B.fig1b (), 2, Nodeset.of_list [ i; j ], S.Flip_forwards)
+    else (B.cycle 7, 1, Nodeset.singleton (Random.State.int st 7), kinds.(k))
+  in
+  let inputs =
+    Array.init (G.size g) (fun _ -> Bit.of_bool (Random.State.bool st))
+  in
+  (g, f, A2.run_traced ~g ~f ~inputs ~faulty ~strategy:(fun _ -> kind) ~seed ())
+
 let prop_scope_transparent =
   let arb, kinds = scope_case in
   QCheck.Test.make ~name:"shared scope = standalone per-node replay" ~count:24
-    arb (fun (fig, seed, k) ->
-      let st = Random.State.make [| seed; 14 |] in
-      let g, f, faulty, kind =
-        if fig then
-          let i = Random.State.int st 8 in
-          let j = (i + 1 + Random.State.int st 7) mod 8 in
-          (B.fig1b (), 2, Nodeset.of_list [ i; j ], S.Flip_forwards)
-        else (B.cycle 7, 1, Nodeset.singleton (Random.State.int st 7), kinds.(k))
-      in
-      let inputs =
-        Array.init (G.size g) (fun _ -> Bit.of_bool (Random.State.bool st))
-      in
-      let t =
-        A2.run_traced ~g ~f ~inputs ~faulty ~strategy:(fun _ -> kind) ~seed ()
-      in
+    arb (fun case ->
+      let g, f, t = scope_run kinds case in
       let shared = A2.create_scope g in
       List.for_all
         (fun v ->
@@ -377,7 +395,41 @@ let prop_scope_transparent =
           | _ -> false)
         (G.nodes g))
 
-(* The property above is only meaningful on fig1b if double-flipped
+(* The three sides of the property above share the attribution code, so
+   a wrong report-list index could pass it. Here every query a plain scan
+   makes, through one scope shared by the honest nodes in node order as a
+   run shares it, is answered again by the list-keyed reference, which
+   has no scope and compares lists by structure only. *)
+let prop_attribution_reference =
+  let arb, kinds = scope_case in
+  QCheck.Test.make ~name:"attribution = list-keyed reference" ~count:24 arb
+    (fun case ->
+      let g, f, t = scope_run kinds case in
+      let scope = A2.create_scope g in
+      List.for_all
+        (fun v ->
+          match t.A2.store2.(v) with
+          | None -> true
+          | Some store2 ->
+              let r =
+                Attribution_reference.create g ~me:v ~heard:t.A2.heard.(v)
+                  ~store2
+              in
+              let ok = ref true in
+              let answered q a =
+                let want =
+                  match q with
+                  | Sent (z, m) -> Attribution_reference.sent r ~f ~z ~m
+                  | Silent (z, path) ->
+                      Attribution_reference.silent_on r ~f ~z ~path
+                in
+                if a <> want then ok := false
+              in
+              ignore (plain_scan ~scope ~answered g ~f ~t v);
+              !ok)
+        (G.nodes g))
+
+(* The properties above are only meaningful on fig1b if double-flipped
    report lists really occur: some node must hold two records from one
    reporter whose lists are equal but not the same allocation. *)
 let test_double_flip_occurs () =
@@ -430,6 +482,6 @@ let () =
         [
           Alcotest.test_case "double flip occurs" `Quick test_double_flip_occurs;
         ]
-        @ qt [ prop_scope_transparent ] );
+        @ qt [ prop_scope_transparent; prop_attribution_reference ] );
       ("properties", qt [ prop_random_f1_cycleplus ]);
     ]

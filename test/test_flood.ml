@@ -207,6 +207,39 @@ let test_flood_silent_node_defaults () =
       | None -> ())
     [ 0; 1; 3; 4 ]
 
+(* Honest relays forward a value object unchanged: with no faults, every
+   record at every node holds the very allocation its origin initiated.
+   Algorithm 2's attribution finds a report list's index by this
+   identity, so a relay that copied values would make it slower without
+   changing any answer. *)
+let test_flood_forwards_value_objects () =
+  let g = B.fig1b () in
+  let n = G.size g in
+  let topo = Engine.topology_of_graph g in
+  let inputs = Array.init n (fun v -> [ v; 100 + v ]) in
+  let roles =
+    Array.init n (fun v ->
+        Engine.Honest
+          (Flood.proc
+             (Flood.create g ~me:v ~vcompare:(List.compare Int.compare)
+                ~initiate:inputs.(v) ~default:[ -1 ] ())))
+  in
+  let r =
+    Engine.run topo ~model:Engine.Local_broadcast
+      ~rounds:(Flood.rounds_needed g) ~roles
+  in
+  Array.iteri
+    (fun v st ->
+      let records = ref 0 and copies = ref 0 in
+      Flood.iter_records (Option.get st)
+        (fun ~origin ~path:_ ~sans_me:_ ~value ->
+          incr records;
+          if value != inputs.(origin) then incr copies);
+      check (Printf.sprintf "node %d has relayed records" v) true
+        (!records > n);
+      check_int (Printf.sprintf "node %d: records holding a copy" v) 0 !copies)
+    r.Engine.outputs
+
 (* ------------------------------------------------------------------ *)
 (* Packing                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -475,6 +508,8 @@ let () =
           Alcotest.test_case "all simple paths" `Quick test_flood_all_simple_paths;
           Alcotest.test_case "silent defaults" `Quick
             test_flood_silent_node_defaults;
+          Alcotest.test_case "forwards value objects" `Quick
+            test_flood_forwards_value_objects;
         ] );
       ( "packing",
         [

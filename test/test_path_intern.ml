@@ -111,6 +111,25 @@ let test_root () =
   check "empty list interns to root" true (P.intern t [] = P.root);
   check "ids are dense" true (P.intern t [ 0; 1 ] = 2 && P.intern t [ 3 ] = 3)
 
+(* An id the table never issued is refused by [extend] before anything
+   is written, and answered by the total queries like [invalid]. *)
+let test_unissued () =
+  let t = P.create (B.cycle 5) in
+  check "extend past the last id refused" true
+    (raises (fun () -> P.extend t 7 1));
+  check "next id still dense" true (P.extend t P.root 1 = 1);
+  check "id 1 is the path [1]" true
+    (P.path t 1 = [ 1 ] && P.length t 1 = 1 && P.is_path t 1);
+  List.iter
+    (fun id ->
+      let name = Printf.sprintf "unissued %d" id in
+      check (name ^ " length") true (P.length t id = -1);
+      check (name ^ " not a path") false (P.is_path t id);
+      check (name ^ " has no nodes") false
+        (List.exists (fun u -> P.mem t id u) [ 0; 1; 2; 3; 4 ]);
+      check (name ^ " path refused") true (raises (fun () -> P.path t id)))
+    [ 2; 7; 1000; -5 ]
+
 (* A table is bound to its graph: a flood store refuses one interned
    over a different graph. *)
 let test_foreign_table () =
@@ -127,6 +146,7 @@ let () =
       ( "basics",
         [
           Alcotest.test_case "root and density" `Quick test_root;
+          Alcotest.test_case "unissued ids" `Quick test_unissued;
           Alcotest.test_case "foreign table" `Quick test_foreign_table;
         ] );
       ( "properties",
