@@ -34,9 +34,9 @@
 #     of cycle64-a2 and fig1b-a2 (Algorithm 2), cycle5-exhaustive
 #     (Algorithms 1 and 2 on the E1 grid) and durable-chaos (chaos,
 #     network profiles, journal and result cache) at seed 1, plus
-#     fig1b-a2 at seed 2, must print the pinned verdict_digest, so a
-#     speed-up that changes any verdict or deterministic counter fails
-#     here;
+#     fig1b-a2, cycle5-exhaustive and durable-chaos at seed 2, must
+#     print the pinned verdict_digest, so a speed-up that changes any
+#     verdict or deterministic counter fails here;
 #   - the deep lint gate runs twice through a fresh --deep-cache
 #     directory with --sarif: the warm run must be all hits and its
 #     SARIF artifact byte-identical to the cold run's;
@@ -296,13 +296,16 @@ echo "== lbcbench output identity: pinned verdict digests =="
 # Algorithm 2 pins were printed before Algorithm 2 began sharing per-run
 # work across nodes, the other two seed-1 pins before Algorithms 1 and 3
 # shared one path intern table per execution, and the fig1b-a2 seed-2
-# pin before attribution found report-list indexes by identity; a change
-# that means to keep outputs byte-identical must reproduce them.
+# pin before attribution found report-list indexes by identity, and the
+# seed-2 pins of the two engine-heavy workloads before the engine folded
+# its plain and chaos delivery loops into one; a change that means to
+# keep outputs byte-identical must reproduce them.
 dune build bench/perf/lbcbench.exe
 mkdir -p "$tmp/lbcbench"
 for pin in cycle64-a2:1:1cbf1dce176da0d3 fig1b-a2:1:23bb21df5db4bfb5 \
     fig1b-a2:2:03a243a3f90b4498 cycle5-exhaustive:1:032d835190705bd6 \
-    durable-chaos:1:2959c34c14ba1a6f; do
+    durable-chaos:1:2959c34c14ba1a6f cycle5-exhaustive:2:259f98484343da8b \
+    durable-chaos:2:02cd5d730d744520; do
   w=${pin%%:*}
   rest=${pin#*:}
   seed=${rest%%:*}

@@ -382,8 +382,8 @@ let of_string s =
           in
           {
             domains = geti "domains";
-            (* Timing clamps mirror Checkpoint.load: a clock that stepped
-               backwards must never surface as negative wall time. *)
+            (* Clamp: a clock that stepped backwards, or a hand-edited
+               artifact, must never surface as negative wall time. *)
             wall_s = Float.max 0.0 (getf "wall_s");
             resumed_scenarios = geti "resumed_scenarios";
             slowest =

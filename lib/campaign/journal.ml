@@ -1,7 +1,7 @@
 (* Streaming verdict journal: the crash-survivable progress format.
 
-   Layout: one JSON header line (text, newline-terminated — greppable and
-   header-validated like the legacy Checkpoint format), followed by
+   Layout: one JSON header line (text, newline-terminated — greppable, and
+   validated against the run's identity on resume), followed by
    binary-framed records, one per scenario verdict:
 
        [4-byte BE payload length] [payload bytes] [4-byte BE CRC32]
@@ -136,8 +136,9 @@ let record_of_json j =
           Some
             {
               index;
-              (* Clamp mirrors Checkpoint.load: a clock step backwards
-                 mid-scenario must not surface as negative wall time. *)
+              (* Clamp: a clock step backwards mid-scenario, or a
+                 damaged record, must not surface as negative wall
+                 time in the resumed artifact. *)
               wall_s = Float.max 0.0 wall_s;
               algo;
               counters;

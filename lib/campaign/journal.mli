@@ -1,5 +1,5 @@
 (** Streaming verdict journal — the crash-survivable campaign progress
-    format that replaced the shard-granular {!Checkpoint}.
+    format.
 
     A journal file is one JSON header line (format tag
     ["lbc-campaign-journal/1"], campaign name, scenario count, base seed,

@@ -8,7 +8,7 @@
 
    Sinks: the definitions whose output the repo treats as ground truth —
    everything in the campaign's verdict/serialization units
-   (Scenario, Artifact, Stats, Checkpoint) plus any definition whose
+   (Scenario, Artifact, Stats) plus any definition whose
    name mentions "fingerprint". Only lib-scope sinks fire: an
    executable printing the wall clock in its banner is not a finding.
 
@@ -21,7 +21,6 @@ let sink_units =
     "Lbc_campaign__Scenario";
     "Lbc_campaign__Artifact";
     "Lbc_campaign__Stats";
-    "Lbc_campaign__Checkpoint";
   ]
 
 let is_sink (d : Callgraph.def) =

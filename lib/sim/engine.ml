@@ -93,107 +93,25 @@ let current_fuel_cell () =
   | Some (_, r) -> Some r
 
 (* ------------------------------------------------------------------ *)
-(* Plain path: perfect synchronous delivery                            *)
+(* The round loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_plain ~record ~net topo ~model ~rounds ~roles =
-  let transmissions = ref 0 in
-  let deliveries = ref 0 in
-  let transcript = ref [] in
-  let net_deliver ~round u v =
-    match net with
-    | None -> ()
-    | Some nc -> Lbc_net.Net.on_delivery nc ~round ~sender:u ~receiver:v
-  in
-  (* inboxes.(v) accumulates (sender, msg) for the next round, in reverse
-     arrival order; arrival order is (sender asc, emission order), which we
-     obtain by iterating senders in ascending id order each round. *)
-  let inboxes = Array.make topo.n [] in
-  for round = 0 to rounds - 1 do
-    consume_fuel 1;
-    (match net with None -> () | Some nc -> Lbc_net.Net.begin_round nc);
-    let tx0 = !transmissions and rx0 = !deliveries in
-    let incoming = Array.map List.rev inboxes in
-    Array.fill inboxes 0 topo.n [];
-    for u = 0 to topo.n - 1 do
-      let out =
-        match roles.(u) with
-        | Honest p -> List.map (fun m -> Broadcast m) (p.step ~round ~inbox:incoming.(u))
-        | Faulty f -> f ~round ~inbox:incoming.(u)
-      in
-      List.iter
-        (fun d ->
-          incr transmissions;
-          if record then transcript := (round, u, d) :: !transcript;
-          match d with
-          | Broadcast m ->
-              List.iter
-                (fun v ->
-                  incr deliveries;
-                  net_deliver ~round u v;
-                  inboxes.(v) <- (u, m) :: inboxes.(v))
-                (topo.hears u)
-          | Unicast (v, m) ->
-              if not (may_unicast model u) then begin
-                Lbc_obs.Obs.incr "engine.reject_unicast_model";
-                raise
-                  (Model_violation
-                     (Printf.sprintf
-                        "node %d attempted unicast under a broadcast-bound \
-                         model"
-                        u))
-              end;
-              if not (topo.link u v) then begin
-                Lbc_obs.Obs.incr "engine.reject_unicast_link";
-                raise
-                  (Model_violation
-                     (Printf.sprintf "node %d unicast to non-neighbour %d" u v))
-              end;
-              incr deliveries;
-              net_deliver ~round u v;
-              inboxes.(v) <- (u, m) :: inboxes.(v))
-        out
-    done;
-    (match net with None -> () | Some nc -> Lbc_net.Net.end_round nc ~round);
-    if Lbc_obs.Obs.tracing () then
-      Lbc_obs.Obs.emit
-        {
-          Lbc_obs.Obs.round;
-          label = "engine.round";
-          fields =
-            [ ("tx", !transmissions - tx0); ("rx", !deliveries - rx0) ];
-        }
-  done;
-  Lbc_obs.Obs.add "engine.rounds" rounds;
-  Lbc_obs.Obs.add "engine.tx" !transmissions;
-  Lbc_obs.Obs.add "engine.rx" !deliveries;
-  let outputs =
-    Array.map
-      (function Honest p -> Some (p.output ()) | Faulty _ -> None)
-      roles
-  in
-  {
-    outputs;
-    stats =
-      { rounds; transmissions = !transmissions; deliveries = !deliveries };
-    transcript = List.rev !transcript;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Chaos path: delivery through the Perturb oracle                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Deliveries are scheduled into a ring of [delay + 2] future rounds:
-   a copy with offset [k] lands [1 + k] rounds ahead, and
-   [1 + k <= delay + 1 < horizon], so a scheduled slot is never the one
-   being consumed. Per-receiver buckets accumulate in scheduling order
-   (round asc, then sender asc, then emission order), which keeps the
-   inbox order — and therefore the whole execution — deterministic;
-   with a zero-rate spec every offset is 0 and the order (and every
-   stat, counter and transcript entry) coincides with the plain path. *)
-let run_chaos ~record ~ctx ~net topo ~model ~rounds ~roles =
-  let spec = Perturb.spec ctx in
-  let horizon = spec.Perturb.delay + 2 in
+(* Deliveries are scheduled into a ring of future inboxes: a copy with
+   offset [k] lands [1 + k] rounds ahead. Only copies that some later
+   round consumes are stored, so [1 + k <= min (delay + 1) (rounds - 1)
+   < horizon] and a scheduled slot is never the one being consumed; the
+   ring is bounded by the run, not by the spec's delay. Per-receiver
+   buckets accumulate in scheduling order (round asc, then sender asc,
+   then emission order), which keeps the inbox order — and therefore the
+   whole execution — deterministic. Without a Perturb context every
+   offset is 0 and the ring is the lock-step next-round inbox. *)
+let run ?(record = false) topo ~model ~rounds ~roles =
+  if Array.length roles <> topo.n then
+    invalid_arg "Engine.run: roles length must equal topology size";
+  let net = Lbc_net.Net.current () in
+  let chaos = Perturb.current () in
+  let spec = match chaos with None -> Perturb.zero | Some c -> Perturb.spec c in
+  let horizon = min spec.Perturb.delay (max rounds 0) + 2 in
   let future = Array.init horizon (fun _ -> Array.make topo.n []) in
   (* crashed_until.(u) = last round of u's current down window; honest
      nodes only. While down a node is not stepped, receives nothing and
@@ -202,6 +120,20 @@ let run_chaos ~record ~ctx ~net topo ~model ~rounds ~roles =
   let transmissions = ref 0 in
   let deliveries = ref 0 in
   let transcript = ref [] in
+  (* A copy counts as a delivery, and is charged its link latency at the
+     send round, even when no later round consumes it: final-round
+     transmissions, and perturb-delayed copies past the last round. *)
+  let schedule ~round u v m k =
+    incr deliveries;
+    (match net with
+    | None -> ()
+    | Some nc -> Lbc_net.Net.on_delivery nc ~round ~sender:u ~receiver:v);
+    if k < rounds - round - 1 then begin
+      let slot = (round + 1 + k) mod horizon in
+      future.(slot).(v) <- (u, m) :: future.(slot).(v)
+    end
+    else if k > 0 then Lbc_obs.Obs.incr "perturb.expired"
+  in
   for round = 0 to rounds - 1 do
     consume_fuel 1;
     (match net with None -> () | Some nc -> Lbc_net.Net.begin_round nc);
@@ -209,16 +141,19 @@ let run_chaos ~record ~ctx ~net topo ~model ~rounds ~roles =
     let slot = round mod horizon in
     let incoming = Array.map List.rev future.(slot) in
     Array.fill future.(slot) 0 topo.n [];
-    for u = 0 to topo.n - 1 do
-      match roles.(u) with
-      | Honest _ ->
-          if crashed_until.(u) < round && Perturb.crash_now ctx ~node:u ~round
-          then begin
-            crashed_until.(u) <- round + spec.Perturb.crash_len - 1;
-            Lbc_obs.Obs.incr "perturb.crashes"
-          end
-      | Faulty _ -> ()
-    done;
+    (match chaos with
+    | Some ctx when spec.Perturb.crash > 0.0 ->
+        for u = 0 to topo.n - 1 do
+          match roles.(u) with
+          | Honest _ ->
+              if crashed_until.(u) < round && Perturb.crash_now ctx ~node:u ~round
+              then begin
+                crashed_until.(u) <- round + spec.Perturb.crash_len - 1;
+                Lbc_obs.Obs.incr "perturb.crashes"
+              end
+          | Faulty _ -> ()
+        done
+    | Some _ | None -> ());
     for u = 0 to topo.n - 1 do
       if crashed_until.(u) >= round then
         (* Down: the inbox for this round is lost, nothing is emitted. *)
@@ -231,30 +166,18 @@ let run_chaos ~record ~ctx ~net topo ~model ~rounds ~roles =
           | Faulty f -> f ~round ~inbox:incoming.(u)
         in
         let deliver v m =
-          match Perturb.offsets ctx ~round ~sender:u ~receiver:v with
-          | [] -> Lbc_obs.Obs.incr "perturb.dropped"
-          | offs ->
-              List.iteri
-                (fun i k ->
-                  if i > 0 then Lbc_obs.Obs.incr "perturb.duplicated";
-                  if k > 0 then Lbc_obs.Obs.incr "perturb.delayed";
-                  incr deliveries;
-                  (* The physical transmission happens now, so the link
-                     latency is charged to the send round even when the
-                     perturb layer re-delivers the copy late. *)
-                  (match net with
-                  | None -> ()
-                  | Some nc ->
-                      Lbc_net.Net.on_delivery nc ~round ~sender:u ~receiver:v);
-                  let target = round + 1 + k in
-                  if k > 0 && target >= rounds then
-                    Lbc_obs.Obs.incr "perturb.expired";
-                  (* Slots past the last round are scheduled but never
-                     consumed — exactly the plain path's accounting of
-                     final-round deliveries. *)
-                  let fslot = target mod horizon in
-                  future.(fslot).(v) <- (u, m) :: future.(fslot).(v))
-                offs
+          match chaos with
+          | None -> schedule ~round u v m 0
+          | Some ctx -> (
+              match Perturb.offsets ctx ~round ~sender:u ~receiver:v with
+              | [] -> Lbc_obs.Obs.incr "perturb.dropped"
+              | offs ->
+                  List.iteri
+                    (fun i k ->
+                      if i > 0 then Lbc_obs.Obs.incr "perturb.duplicated";
+                      if k > 0 then Lbc_obs.Obs.incr "perturb.delayed";
+                      schedule ~round u v m k)
+                    offs)
         in
         List.iter
           (fun d ->
@@ -307,11 +230,3 @@ let run_chaos ~record ~ctx ~net topo ~model ~rounds ~roles =
       { rounds; transmissions = !transmissions; deliveries = !deliveries };
     transcript = List.rev !transcript;
   }
-
-let run ?(record = false) topo ~model ~rounds ~roles =
-  if Array.length roles <> topo.n then
-    invalid_arg "Engine.run: roles length must equal topology size";
-  let net = Lbc_net.Net.current () in
-  match Perturb.current () with
-  | None -> run_plain ~record ~net topo ~model ~rounds ~roles
-  | Some ctx -> run_chaos ~record ~ctx ~net topo ~model ~rounds ~roles

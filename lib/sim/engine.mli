@@ -94,22 +94,25 @@ val run :
 (** Execute [rounds] synchronous rounds. [roles] must have length
     [topology.n].
 
-    When a {!Perturb} context is installed in the current domain
-    ({!Perturb.with_chaos}), delivery runs through the perturbation
-    oracle instead of the perfect-synchrony path: per-(round, sender,
-    receiver) drop / duplication / bounded delay, and honest
-    crash-restart windows (a down node is not stepped, loses its inbox
-    and emits nothing; its closure state survives the restart). A
-    zero-rate context reproduces the plain path bit-for-bit — same
-    outputs, stats, transcript and observability counters. Perturbed
-    runs additionally tally [perturb.dropped] / [perturb.duplicated] /
-    [perturb.delayed] / [perturb.expired] / [perturb.crashes] /
-    [perturb.crash_rounds].
+    Without a {!Perturb} context every transmission reaches its hearers
+    in the next round. When one is installed in the current domain
+    ({!Perturb.with_chaos}), each delivery's fate comes from the
+    perturbation oracle: per-(round, sender, receiver) drop /
+    duplication / bounded delay, and honest crash-restart windows (a
+    down node is not stepped, loses its inbox and emits nothing; its
+    closure state survives the restart). A zero-rate context
+    reproduces a run without one bit-for-bit — same outputs, stats,
+    transcript and observability counters. Perturbed runs additionally
+    tally [perturb.dropped] / [perturb.duplicated] / [perturb.delayed] /
+    [perturb.expired] / [perturb.crashes] / [perturb.crash_rounds]. A
+    copy delayed past the last round counts as a delivery and as
+    [perturb.expired]; the engine's memory is bounded by [rounds], not
+    by the spec's [delay].
 
     When a {!Lbc_net.Net} context is installed ({!Lbc_net.Net.with_net}),
     every delivery is additionally assigned a sampled link latency and
     each round's duration (its slowest completion) advances the
-    simulated clock — orthogonally to chaos, on both code paths. An
+    simulated clock — orthogonally to chaos. An
     ideal (all-zero) profile records nothing and is observationally
     identical to running without the layer; non-ideal profiles record
     the [net.link_ns] / [net.round_ns] histograms. A perturb-delayed

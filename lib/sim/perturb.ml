@@ -84,18 +84,25 @@ let parse str =
           | Some f -> Ok f
           | None -> Error (Printf.sprintf "perturb: %s=%S is not a number" key value)
         in
-        let* n =
+        (* Integer keys take integer literals only: truncating "2.7",
+           or converting "1e30" and "nan" (unspecified in OCaml), would
+           run a different spec than the one written. *)
+        let int () =
           match int_of_string_opt value with
           | Some n -> Ok n
-          | None -> Ok (int_of_float f)
+          | None ->
+              Error (Printf.sprintf "perturb: %s=%S is not an integer" key value)
         in
         (match key with
         | "drop" -> Ok ({ s with drop = f }, saw_delay_p, saw_crash_len)
         | "dup" -> Ok ({ s with dup = f }, saw_delay_p, saw_crash_len)
-        | "delay" -> Ok ({ s with delay = n }, saw_delay_p, saw_crash_len)
+        | "delay" ->
+            let* n = int () in
+            Ok ({ s with delay = n }, saw_delay_p, saw_crash_len)
         | "delay-p" | "delay_p" -> Ok ({ s with delay_p = f }, true, saw_crash_len)
         | "crash" -> Ok ({ s with crash = f }, saw_delay_p, saw_crash_len)
         | "crash-len" | "crash_len" ->
+            let* n = int () in
             Ok ({ s with crash_len = n }, saw_delay_p, true)
         | _ ->
             Error

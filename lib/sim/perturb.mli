@@ -87,8 +87,8 @@ val crash_now : ctx -> node:int -> round:int -> bool
 val with_chaos : spec -> seed:int -> (unit -> 'a) -> 'a
 (** Install a context for the current domain around a thunk (restoring
     the previous one, also on exception). A {!zero} spec still installs
-    — {!Engine.run} then takes its perturbed code path with identity
-    decisions, which is what the zero-rate equivalence property tests. *)
+    — {!Engine.run} then consults the oracle, whose decisions are all
+    identity, which is what the zero-rate equivalence property tests. *)
 
 val current : unit -> ctx option
 (** The context installed in the current domain, if any. *)

@@ -381,44 +381,6 @@ let prop_stealing_poison_and_exactly_once =
                (List.init n Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy Checkpoint: load report                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The shard-granular Checkpoint format is superseded by Journal but
-   still readable; its load report must name the first corrupt line. *)
-let test_checkpoint_load_names_corrupt_line () =
-  let path = Filename.temp_file "lbc-legacy" ".progress" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let header =
-        {
-          C.Checkpoint.campaign = "legacy";
-          count = 8;
-          shard_size = 4;
-          base_seed = 0;
-          fingerprint = "f00";
-        }
-      in
-      C.Checkpoint.start ~path ~header;
-      C.Checkpoint.append ~path
-        {
-          C.Checkpoint.shard = 0;
-          wall_s = 0.5;
-          verdicts = [||];
-          stats = C.Stats.empty;
-        };
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{\"shard\":1,\"trunc";
-      close_out oc;
-      let entries, report = C.Checkpoint.load ~path ~header in
-      check_int "intact entry loaded" 1 (List.length entries);
-      check_int "one line dropped" 1 report.C.Checkpoint.dropped;
-      (* header is line 1, the intact shard line 2, the damage line 3 *)
-      check "first corrupt line named" true
-        (report.C.Checkpoint.first_corrupt_line = Some 3))
-
-(* ------------------------------------------------------------------ *)
 (* Runner: determinism, artifacts, journal/resume                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -975,11 +937,6 @@ let () =
         :: Alcotest.test_case "stealing executes all" `Quick
              test_stealing_executes_all
         :: qt [ prop_stealing_poison_and_exactly_once ] );
-      ( "checkpoint-legacy",
-        [
-          Alcotest.test_case "corrupt line named" `Quick
-            test_checkpoint_load_names_corrupt_line;
-        ] );
       ( "runner",
         [
           Alcotest.test_case "deterministic across domains" `Quick

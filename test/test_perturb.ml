@@ -1,9 +1,10 @@
 (* Tests for lib/sim/perturb: spec parsing/rendering, the decision
    oracle's determinism, and the engine-level equivalence properties —
-   a zero-rate perturbation is observationally identical to the plain
-   engine path, and a fixed (spec, seed) reproduces exactly. *)
+   a zero-rate perturbation is observationally identical to a run with
+   no context installed, and a fixed (spec, seed) reproduces exactly. *)
 
 module P = Lbc_sim.Perturb
+module E = Lbc_sim.Engine
 module B = Lbc_graph.Builders
 module Nodeset = Lbc_graph.Nodeset
 module Bit = Lbc_consensus.Bit
@@ -67,12 +68,18 @@ let test_parse_errors () =
       "bogus=1";       (* unknown key *)
       "drop";          (* missing '=' *)
       "drop=abc";      (* not a number *)
+      "delay=2.7";     (* integer keys take integer literals only *)
+      "delay=1e30";
+      "delay=nan";
+      "crash-len=1e30";
     ]
   in
   List.iter
     (fun input ->
       check ("reject " ^ input) true (Result.is_error (P.parse input)))
-    bad
+    bad;
+  check "non-integer delay named" true
+    (P.parse "delay=2.7" = Error "perturb: delay=\"2.7\" is not an integer")
 
 let test_validate () =
   check "zero is valid" true (P.validate P.zero = Ok P.zero);
@@ -199,8 +206,8 @@ let observed_run ?chaos ~algo ~n ~seed () =
       | None -> go ()
       | Some (spec, cseed) -> P.with_chaos spec ~seed:cseed go)
 
-(* Satellite property: a zero-rate perturbation is indistinguishable
-   from the plain engine path — same outputs, same cost accounting, and
+(* A zero-rate perturbation is indistinguishable from a run with no
+   context installed — same outputs, same cost accounting, and
    the very same observability counters (no perturb.* counters appear,
    because zero-rate runs perturb nothing). *)
 let prop_zero_rate_identical =
@@ -250,6 +257,49 @@ let test_crash_restart_honest_only () =
     | Some v -> v > 0
     | None -> false)
 
+(* Every node broadcasts its id each round on cycle:[n]. *)
+let broadcast_ids ?(step = fun ~round:_ ~inbox:_ -> ()) ~n ~rounds () =
+  E.run
+    (E.topology_of_graph (B.cycle n))
+    ~model:E.Local_broadcast ~rounds
+    ~roles:
+      (Array.init n (fun v ->
+           E.Honest
+             {
+               E.step =
+                 (fun ~round ~inbox ->
+                   step ~round ~inbox;
+                   [ v ]);
+               output = (fun () -> ());
+             }))
+
+(* The delay ring is sized by the run, not by the spec: a delay of
+   max_int completes, and every copy it delays lands past the last
+   round, so each is tallied as expired and none is ever consumed. *)
+let test_unbounded_delay_expires () =
+  let spec = { P.zero with P.delay = max_int; delay_p = 1.0 } in
+  let r, obs =
+    Obs.record (fun () ->
+        P.with_chaos spec ~seed:3
+          (broadcast_ids ~n:5 ~rounds:30 ~step:(fun ~round:_ ~inbox ->
+               if inbox <> [] then failwith "delayed copy consumed")))
+  in
+  let count k = Option.value ~default:0 (List.assoc_opt k obs.Obs.counters) in
+  let rx = r.E.stats.E.deliveries in
+  check_int "5 nodes x 2 hearers x 30 rounds" 300 rx;
+  check_int "every copy delayed" rx (count "perturb.delayed");
+  check_int "every delayed copy expired" rx (count "perturb.expired")
+
+(* Zero rounds: zero stats, with and without a context installed. *)
+let test_zero_rounds_stats () =
+  let go () = (broadcast_ids ~n:3 ~rounds:0 ()).E.stats in
+  let zero = { E.rounds = 0; transmissions = 0; deliveries = 0 } in
+  check "no context" true (go () = zero);
+  check "zero-rate context" true (P.with_chaos P.zero ~seed:1 go = zero);
+  check "delaying context" true
+    (P.with_chaos { P.zero with P.delay = max_int; delay_p = 1.0 } ~seed:1 go
+    = zero)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "perturb"
@@ -275,5 +325,8 @@ let () =
           test_chaos_run_reproducible
         :: Alcotest.test_case "crash-restart" `Quick
              test_crash_restart_honest_only
+        :: Alcotest.test_case "unbounded delay expires" `Quick
+             test_unbounded_delay_expires
+        :: Alcotest.test_case "zero rounds" `Quick test_zero_rounds_stats
         :: qt [ prop_zero_rate_identical ] );
     ]

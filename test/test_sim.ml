@@ -199,6 +199,150 @@ let test_role_length_mismatch () =
     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Lock-step equivalence with the retained reference loop               *)
+(* ------------------------------------------------------------------ *)
+
+module Obs = Lbc_obs.Obs
+module Net = Lbc_net.Net
+
+(* One generated execution: a topology (undirected, or directed by
+   [out]), a model, which nodes run a faulty step, and the knobs of the
+   run. Honest procs and faulty steps are deterministic functions of
+   [seed] and what they have heard, so any difference in inbox order or
+   content between two engines shows up in outputs and transcripts. *)
+type case = {
+  n : int;
+  directed : bool;
+  arcs : (int * int) list;
+  model_kind : int;  (* 0 local broadcast, 1 point-to-point, 2 hybrid *)
+  unicasters : int list;
+  faulty : int list;
+  rounds : int;
+  record : bool;
+  net : string option;
+  seed : int;
+}
+
+let show_case c =
+  Printf.sprintf
+    "n=%d directed=%b arcs=[%s] model=%d unicasters=[%s] faulty=[%s] \
+     rounds=%d record=%b net=%s seed=%d"
+    c.n c.directed
+    (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) c.arcs))
+    c.model_kind
+    (String.concat ";" (List.map string_of_int c.unicasters))
+    (String.concat ";" (List.map string_of_int c.faulty))
+    c.rounds c.record
+    (Option.value ~default:"-" c.net)
+    c.seed
+
+let gen_case =
+  let open QCheck.Gen in
+  let* n = int_range 2 7 in
+  let node = int_bound (n - 1) in
+  let* directed = bool in
+  let* arcs = list_size (int_bound (2 * n)) (pair node node) in
+  let arcs = List.filter (fun (u, v) -> u <> v) arcs in
+  let* model_kind = int_bound 2 in
+  let* unicasters = list_size (int_bound n) node in
+  let* faulty = list_size (int_bound 3) node in
+  let* rounds = int_bound 8 in
+  let* record = bool in
+  let* net = oneofl [ None; Some "ideal"; Some "lan"; Some "const:1000"; Some "heavy-tail" ] in
+  let* seed = int_bound 1_000_000 in
+  return
+    { n; directed; arcs; model_kind; unicasters; faulty; rounds; record; net; seed }
+
+let topology_of_case c =
+  if c.directed then
+    Engine.topology_directed ~n:c.n ~out:(fun u ->
+        List.filter_map (fun (a, b) -> if a = u then Some b else None) c.arcs)
+  else
+    Engine.topology_of_graph
+      (Lbc_graph.Graph.of_edges c.n
+         (List.sort_uniq compare
+            (List.map (fun (u, v) -> (min u v, max u v)) c.arcs)))
+
+let model_of_case c =
+  match c.model_kind with
+  | 0 -> Engine.Local_broadcast
+  | 1 -> Engine.Point_to_point
+  | _ -> Engine.Hybrid (Nodeset.of_list c.unicasters)
+
+(* Fresh roles per run: honest procs carry mutable state. *)
+let roles_of_case c topo =
+  Array.init c.n (fun u ->
+      if List.mem u c.faulty then
+        Engine.Faulty
+          (fun ~round ~inbox ->
+            let h = Hashtbl.hash (c.seed, u, round, inbox) in
+            List.init (h mod 4) (fun i ->
+                let m = (h lsr 3) + i in
+                match (h lsr (2 * i + 5)) land 3 with
+                | 0 -> Engine.Broadcast m
+                | 1 -> (
+                    (* legal in models that let [u] unicast *)
+                    match topo.Engine.hears u with
+                    | [] -> Engine.Broadcast m
+                    | vs -> Engine.Unicast (List.nth vs (m mod List.length vs), m))
+                | 2 -> Engine.Unicast (m mod c.n, m) (* maybe no link *)
+                | _ -> Engine.Broadcast (m + 1)))
+      else
+        let h = ref (Hashtbl.hash (c.seed, u)) in
+        let log = ref [] in
+        Engine.Honest
+          {
+            Engine.step =
+              (fun ~round ~inbox ->
+                log := (round, inbox) :: !log;
+                h := Hashtbl.hash (!h, round, inbox);
+                List.init (!h mod 3) (fun i -> !h + i));
+            output = (fun () -> List.rev !log);
+          })
+
+let observe_case run c =
+  let topo = topology_of_case c in
+  let go () =
+    match run ~record:c.record topo ~model:(model_of_case c) ~rounds:c.rounds
+            ~roles:(roles_of_case c topo)
+    with
+    | r -> Ok r
+    | exception Engine.Model_violation msg -> Error msg
+  in
+  Obs.record ~trace:true (fun () ->
+      match c.net with
+      | None -> (go (), 0)
+      | Some p -> (
+          match Net.parse p with
+          | Ok profile -> Net.with_net profile ~seed:c.seed go
+          | Error e -> failwith e))
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"Engine.run = lock-step reference (no chaos)"
+    ~count:500
+    (QCheck.make ~print:show_case gen_case)
+    (fun c ->
+      let (got, got_ns), got_obs =
+        observe_case (fun ~record -> Engine.run ~record) c
+      in
+      let (want, want_ns), want_obs =
+        observe_case (fun ~record -> Engine_reference.run ~record) c
+      in
+      let same_result =
+        match (got, want) with
+        | Ok a, Ok b ->
+            a.Engine.outputs = b.Engine.outputs
+            && a.Engine.stats = b.Engine.stats
+            && a.Engine.transcript = b.Engine.transcript
+        | Error a, Error b -> a = b
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      same_result && got_ns = want_ns
+      && got_obs.Obs.counters = want_obs.Obs.counters
+      && got_obs.Obs.stats = want_obs.Obs.stats
+      && got_obs.Obs.events = want_obs.Obs.events)
+
+(* ------------------------------------------------------------------ *)
 (* Tracefmt: transcript rendering and per-round statistics              *)
 (* ------------------------------------------------------------------ *)
 
@@ -278,6 +422,7 @@ let () =
           Alcotest.test_case "last round boundary" `Quick
             test_last_round_transmissions_not_delivered;
         ] );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_engine_matches_reference ]);
       ( "tracefmt",
         [
           Alcotest.test_case "transmissions by round" `Quick
