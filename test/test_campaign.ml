@@ -889,6 +889,44 @@ let test_chaos_segment_in_scenario_id () =
     (Scenario.scenario_seed ~base:0 plain
     <> Scenario.scenario_seed ~base:0 chaotic)
 
+(* Every chaos spec a predefined grid sweeps must survive its own repro
+   line: [Perturb.parse] accepts integer literals only for [delay] and
+   [crash-len], so the canonical spelling printed after [--chaos] has to
+   parse back to the same spec. *)
+let test_grid_chaos_specs_parse_back () =
+  let module P = Lbc_sim.Perturb in
+  let seen = ref 0 and delayed = ref 0 in
+  List.iter
+    (fun name ->
+      match C.Grids.by_name name with
+      | None -> Alcotest.failf "grid %s missing" name
+      | Some g ->
+          Array.iter
+            (fun s ->
+              match s.Scenario.chaos with
+              | None -> ()
+              | Some spec ->
+                  incr seen;
+                  if spec.P.delay > 0 then incr delayed;
+                  let str = P.to_string spec in
+                  (match P.parse str with
+                  | Ok back when back = spec -> ()
+                  | Ok _ -> Alcotest.failf "%s: %S parses to another spec" name str
+                  | Error e -> Alcotest.failf "%s: %S rejected: %s" name str e);
+                  let cmd = Scenario.repro_command s ~seed:0 in
+                  let flag = "--chaos " ^ str ^ " " in
+                  let n = String.length flag in
+                  let rec has i =
+                    i + n <= String.length cmd
+                    && (String.sub cmd i n = flag || has (i + 1))
+                  in
+                  if not (has 0) then
+                    Alcotest.failf "%s: repro line lacks %S: %s" name flag cmd)
+            (Grid.to_array g))
+    C.Grids.names;
+  check "some grid sweeps chaos" true (!seen > 0);
+  check "some grid sweeps a bounded delay" true (!delayed > 0)
+
 let test_n100_grid_registered () =
   match C.Grids.by_name "n100" with
   | None -> Alcotest.fail "n100 grid missing"
@@ -976,6 +1014,11 @@ let () =
         :: Alcotest.test_case "chaos resume = uninterrupted" `Quick
              test_chaos_resume_matches_uninterrupted
         :: qt [ prop_chaos_deterministic_across_domains ] );
+      ( "chaos-repro-parse",
+        [
+          Alcotest.test_case "grid chaos specs parse back" `Quick
+            test_grid_chaos_specs_parse_back;
+        ] );
       ( "stats",
         Alcotest.test_case "merge" `Quick test_stats_merge
         :: Alcotest.test_case "artifact stats" `Quick test_artifact_carries_stats
