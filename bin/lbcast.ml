@@ -767,24 +767,6 @@ let do_report path fingerprint stats =
       end
 
 (* ------------------------------------------------------------------ *)
-(* lint                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let do_lint roots baseline write_baseline update_baseline json deep sarif
-    deep_cache =
-  Lbc_lint.Driver.main
-    {
-      Lbc_lint.Driver.roots;
-      baseline;
-      write_baseline;
-      update_baseline;
-      json;
-      deep;
-      sarif;
-      deep_cache;
-    }
-
-(* ------------------------------------------------------------------ *)
 (* sweep                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1185,85 +1167,6 @@ let campaign_cmd =
       $ out $ max_scenarios $ chaos $ net $ max_rounds $ deadline $ retries
       $ strict $ no_steal $ cache $ no_cache $ kill_after)
 
-let lint_cmd =
-  let roots =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to lint (default: lib bin bench test \
-             examples).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Baseline of grandfathered findings (D2/D4/D5 and the deep \
-             rules).")
-  in
-  let write_baseline =
-    Arg.(
-      value & flag
-      & info [ "write-baseline" ]
-          ~doc:"Regenerate $(b,--baseline) from the current findings.")
-  in
-  let update_baseline =
-    Arg.(
-      value & flag
-      & info [ "update-baseline" ]
-          ~doc:
-            "Shrink $(b,--baseline) to the current findings (drop stale \
-             counts, never add entries).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit a machine-readable lbclint/3 JSON report.")
-  in
-  let deep =
-    Arg.(
-      value & flag
-      & info [ "deep" ]
-          ~doc:
-            "Also run the whole-program typed-AST pass (E1 nondeterminism \
-             taint, E2 cross-domain mutable state, E3 lockset data races, \
-             E4 check-then-act atomicity, M1 local-broadcast model \
-             invariant, advisory X1 dead exports); requires a prior \
-             $(b,dune build).")
-  in
-  let sarif =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sarif" ] ~docv:"FILE"
-          ~doc:"Also write the findings as SARIF 2.1.0 to $(docv).")
-  in
-  let deep_cache =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "deep-cache" ] ~docv:"DIR"
-          ~doc:
-            "Incremental summary cache for the $(b,--deep) pass (warm runs \
-             re-analyze only changed modules).")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static determinism & domain-safety analysis (rules D1-D6, deep \
-          rules E1/E2/E3/E4/M1/X1): no wall clocks, no unordered Hashtbl \
-          traversal reaching output, no ambient Random state, no \
-          polymorphic compare in lib/, no unguarded top-level mutable \
-          state, no exception-swallowing catch-alls, no unsynchronized \
-          cross-domain state, no per-receiver payloads outside the \
-          adversary. Exits 0 clean / 1 findings / 2 config or parse \
-          error.")
-    Term.(
-      const do_lint $ roots $ baseline $ write_baseline $ update_baseline
-      $ json $ deep $ sarif $ deep_cache)
-
 let report_cmd =
   let path =
     Arg.(
@@ -1303,5 +1206,4 @@ let () =
           [
             check_cmd; gen_cmd; run_cmd; attack_cmd; forensics_cmd;
             predict_cmd; fuzz_cmd; sweep_cmd; campaign_cmd; report_cmd;
-            lint_cmd;
           ]))

@@ -6,7 +6,8 @@
    0 (clean), 1 (findings) or 2 (configuration/parse error). With
    --deep it additionally loads the .cmt/.cmti typed ASTs dune emitted
    under _build/default and runs the whole-program rules E1/E2/E3/E4/M1
-   (gating) and X1 (advisory). Also available as `lbcast lint`. *)
+   (gating) and X1 (advisory). This is the repository's one lint
+   front-end: `dune build @lint` and ci.sh both run it. *)
 
 open Cmdliner
 

@@ -1,13 +1,13 @@
-(* Content-addressed scenario→verdict cache.
+(* Content-addressed scenario→verdict cache: the JSON codec of one entry
+   over Lbc_store.Store, which owns the files, the key re-check and the
+   tallies.
 
    Scenario ids are already pure functions of scenario content, so
    (id, base seed, round budget) fully determines the verdict and its
-   observability counters. The cache maps that key to a small JSON file
-   named by the key's 64-bit FNV-1a hash; the key itself is embedded and
-   re-verified on lookup, so a hash collision degrades to a miss, never a
-   wrong verdict. Writes go through a pid-suffixed temp file + rename, so
-   concurrent workers (or concurrent campaigns sharing a directory) race
-   benignly: last rename wins with identical content. *)
+   observability counters. The format tag leads the key, so a change to
+   the entry layout makes old files misses. *)
+
+module Store = Lbc_store.Store
 
 type entry = {
   algo : string;
@@ -15,100 +15,45 @@ type entry = {
   verdict : Scenario.verdict;
 }
 
-type t = {
-  dir : string;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  stores : int Atomic.t;
-}
+type t = Store.t
 
-let format_tag = "lbc-cache/1"
-
-let create ~dir =
-  (try Unix.mkdir dir 0o755
-   with Unix.Unix_error ((EEXIST | EISDIR), _, _) -> ());
-  { dir; hits = Atomic.make 0; misses = Atomic.make 0;
-    stores = Atomic.make 0 }
-
-let hits t = Atomic.get t.hits
-let misses t = Atomic.get t.misses
-let stores t = Atomic.get t.stores
-
-(* FNV-1a over the full key, masked to 63 bits like Scenario.fnv1a so the
-   filename is stable across architectures. *)
-let hash_key key =
-  let h = ref 0x0BF29CE484222325 in
-  String.iter
-    (fun c ->
-      h := (!h lxor Char.code c) * 0x100000001b3 land max_int)
-    key;
-  !h
-
-let path_of t ~key = Filename.concat t.dir (Printf.sprintf "%016x.json" (hash_key key))
+let create = Store.create
+let hits = Store.hits
+let misses = Store.misses
+let stores = Store.stores
 
 let key ~id ~base_seed ~budget =
-  Printf.sprintf "%s|seed=%d|budget=%d" id base_seed budget
+  Printf.sprintf "lbc-cache/2|%s|seed=%d|budget=%d" id base_seed budget
 
-let entry_json ~key e =
+let entry_json e =
   Jsonio.Obj
     [
-      ("format", Jsonio.Str format_tag);
-      ("key", Jsonio.Str key);
       ("algo", Jsonio.Str e.algo);
       ( "counters",
         Jsonio.Obj (List.map (fun (k, v) -> (k, Jsonio.Int v)) e.counters) );
       ("verdict", Scenario.verdict_to_json e.verdict);
     ]
 
-let entry_of_json ~key j =
-  let str k = Option.bind (Jsonio.member k j) Jsonio.to_str in
-  if str "format" <> Some format_tag || str "key" <> Some key then None
-  else
-    match
-      (str "algo", Jsonio.member "counters" j, Jsonio.member "verdict" j)
-    with
-    | Some algo, Some (Jsonio.Obj cs), Some vj -> (
-        match Scenario.verdict_of_json vj with
-        | Error _ -> None
-        | Ok verdict ->
-            let counters =
-              List.filter_map
-                (fun (k, v) -> Option.map (fun i -> (k, i)) (Jsonio.to_int v))
-                cs
-            in
-            Some { algo; counters; verdict })
-    | _ -> None
+let entry_of_json j =
+  match
+    ( Option.bind (Jsonio.member "algo" j) Jsonio.to_str,
+      Jsonio.member "counters" j,
+      Jsonio.member "verdict" j )
+  with
+  | Some algo, Some (Jsonio.Obj cs), Some vj -> (
+      match Scenario.verdict_of_json vj with
+      | Error _ -> None
+      | Ok verdict ->
+          let counters =
+            List.filter_map
+              (fun (k, v) -> Option.map (fun i -> (k, i)) (Jsonio.to_int v))
+              cs
+          in
+          Some { algo; counters; verdict })
+  | _ -> None
 
 let find t ~key =
-  let path = path_of t ~key in
-  let loaded =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-        let content =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Option.bind
-          (Result.to_option (Jsonio.of_string content))
-          (entry_of_json ~key)
-  in
-  (match loaded with
-  | Some _ -> Atomic.incr t.hits
-  | None -> Atomic.incr t.misses);
-  loaded
+  Option.bind (Store.find t ~key) (fun s ->
+      Option.bind (Result.to_option (Jsonio.of_string s)) entry_of_json)
 
-let store t ~key e =
-  let path = path_of t ~key in
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  match open_out_bin tmp with
-  | exception Sys_error _ -> ()
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Jsonio.to_string (entry_json ~key e)));
-      (try
-         Sys.rename tmp path;
-         Atomic.incr t.stores
-       with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
+let store t ~key e = Store.store t ~key (Jsonio.to_string (entry_json e))

@@ -4,13 +4,13 @@
     execution's verdict and counters are a pure function of
     (id, base seed, round budget) — the determinism contract the test
     suite and lbclint enforce. The cache exploits that: each key maps to
-    one JSON file (named by the key's FNV-1a hash, with the key embedded
-    and re-verified so collisions degrade to misses), letting overlapping
-    grids and re-runs skip already-executed scenarios.
+    one JSON entry in a {!Lbc_store.Store}, which re-verifies the key and
+    a payload digest on lookup (collisions and corrupt files degrade to
+    misses), letting overlapping grids and re-runs skip already-executed
+    scenarios.
 
     Lookups and stores are safe from concurrent worker domains and even
-    concurrent campaigns sharing a directory: writes are temp-file +
-    rename, and racing writers produce identical bytes for a given key.
+    concurrent campaigns sharing a directory (see {!Lbc_store.Store}).
 
     Cache hit/miss tallies are surfaced in the artifact's [run] section —
     deliberately {e not} in the deterministic stats section, since they
@@ -32,11 +32,11 @@ val create : dir:string -> t
 val key : id:string -> base_seed:int -> budget:int -> string
 (** The cache key for a scenario execution: id, campaign base seed and
     round budget ([0] when unbounded) — everything the verdict depends
-    on. *)
+    on — behind the entry format's version tag. *)
 
 val find : t -> key:string -> entry option
-(** Look up a key, counting a hit or a miss. Unparseable, wrong-format or
-    hash-colliding files are misses. *)
+(** Look up a key, counting a hit or a miss. Unparseable, wrong-format,
+    corrupt or hash-colliding files are misses. *)
 
 val store : t -> key:string -> entry -> unit
 (** Persist an entry (atomically, via rename). IO errors are swallowed —

@@ -22,16 +22,9 @@ let shards ~shard_size scenarios =
       (i, Array.sub scenarios lo (min shard_size (n - lo))))
 
 let fingerprint scenarios =
-  let h = ref 0x0BF29CE484222325 in
-  Array.iter
-    (fun s ->
-      String.iter
-        (fun c ->
-          h := !h lxor Char.code c;
-          h := !h * 0x100000001b3)
-        (Scenario.id s ^ "\n"))
-    scenarios;
-  Printf.sprintf "%016x" (!h land max_int)
+  Array.to_list scenarios
+  |> List.map (fun s -> Scenario.id s ^ "\n")
+  |> String.concat "" |> Lbc_store.Store.fnv1a |> Printf.sprintf "%016x"
 
 (* ------------------------------------------------------------------ *)
 (* Cartesian products                                                  *)

@@ -76,18 +76,9 @@ let id s =
     (inputs_string s.inputs) chaos_part net_part
 
 (* FNV-1a over the id string: a deterministic, platform-stable hash (we
-   avoid [Hashtbl.hash], whose value is not documented to be stable). The
-   offset basis is the standard one truncated to OCaml's 63-bit int. *)
-let fnv1a s =
-  let h = ref 0x0BF29CE484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
-  !h land max_int
-
-let scenario_seed ~base s = (fnv1a (id s) lxor (base * 0x9e3779b9)) land max_int
+   avoid [Hashtbl.hash], whose value is not documented to be stable). *)
+let scenario_seed ~base s =
+  (Lbc_store.Store.fnv1a (id s) lxor (base * 0x9e3779b9)) land max_int
 
 type status =
   | Checked

@@ -174,33 +174,18 @@ let render_human fmt o =
     (List.length o.suppressed) (List.length o.baselined) o.files
     (if o.files = 1 then "" else "s")
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json fmt o =
   let finding_json (f : Rules.finding) =
     Printf.sprintf
       "{\"rule\":\"%s\",\"severity\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
       (Rules.id f.Rules.rule)
       (Rules.severity_string (Rules.severity f.Rules.rule))
-      (json_escape f.Rules.file) f.Rules.line f.Rules.col
-      (json_escape f.Rules.message)
+      (Sarif.escape f.Rules.file) f.Rules.line f.Rules.col
+      (Sarif.escape f.Rules.message)
   in
   let stale_json (rid, file, n) =
     Printf.sprintf "{\"rule\":\"%s\",\"file\":\"%s\",\"unmatched\":%d}" rid
-      (json_escape file) n
+      (Sarif.escape file) n
   in
   (* lbclint/3: adds the "deep" stats object (null when the deep pass
      did not run). /2 documents are no longer emitted; consumers that
@@ -221,11 +206,11 @@ let render_json fmt o =
     (List.length o.suppressed) (List.length o.baselined)
     (String.concat "," (List.map stale_json o.stale))
     (String.concat ","
-       (List.map (fun m -> "\"" ^ json_escape m ^ "\"") o.errors))
+       (List.map (fun m -> "\"" ^ Sarif.escape m ^ "\"") o.errors))
     deep_json (exit_code o)
 
 (* ------------------------------------------------------------------ *)
-(* Entry point shared by bin/lbclint and `lbcast lint`                 *)
+(* Entry point of bin/lbclint                                         *)
 (* ------------------------------------------------------------------ *)
 
 type config = {

@@ -16,47 +16,28 @@
    - the summary format itself ([salt], bumped on layout change) and
      the compiler version (Marshal is not stable across versions).
 
-   Storage mirrors lib/campaign/cache.ml: one file per key named by the
-   key's 63-bit FNV-1a hash, the key embedded and re-verified on lookup
-   so a hash collision degrades to a miss, never a wrong summary.
-   Writes create the final file via an exclusive temp + rename; a
-   concurrent writer losing the race simply skips the store — both
-   sides would write identical bytes.
+   Storage is Lbc_store.Store, shared with lib/campaign/cache.ml: it
+   re-verifies the key and an MD5 of the payload before handing bytes
+   back, so [Marshal.from_string] only ever sees bytes this codec wrote
+   under the same key — never a corrupt or foreign file.
 
    The payload is a [summary option]: [None] is the tombstone for an
    annotation group that loads to nothing (dune's generated alias
    units), so warm runs skip even the "read it to learn it's skippable"
    step. *)
 
-let format_tag = "lbclint-sum/1"
+module Store = Lbc_store.Store
+
+let format_tag = "lbclint-sum/2"
 
 (* Bump when Callgraph.summary or the walk's semantics change. *)
 let analyzer_salt = "3"
 
-type t = {
-  dir : string;
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
-}
+type t = Store.t
 
-let create ~dir =
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  { dir; hits = 0; misses = 0; stores = 0 }
-
-let hits t = t.hits
-let misses t = t.misses
-let stores t = t.stores
-
-let hash_key key =
-  let h = ref 0x0BF29CE484222325 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x100000001b3 land max_int)
-    key;
-  !h
-
-let path_of t ~key =
-  Filename.concat t.dir (Printf.sprintf "%016x.sum" (hash_key key))
+let create = Store.create
+let hits = Store.hits
+let misses = Store.misses
 
 let digest_of path =
   match Digest.file path with
@@ -78,39 +59,9 @@ let names_digest names =
     (Digest.string (String.concat "," (List.sort String.compare names)))
 
 let find t ~key : Callgraph.summary option option =
-  let path = path_of t ~key in
-  let loaded =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic -> (
-        match
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              let stored_key : string = Marshal.from_channel ic in
-              if stored_key <> key then None
-              else Some (Marshal.from_channel ic : Callgraph.summary option))
-        with
-        | v -> v
-        | exception (Failure _ | End_of_file | Sys_error _) -> None)
-  in
-  (match loaded with
-  | Some _ -> t.hits <- t.hits + 1
-  | None -> t.misses <- t.misses + 1);
-  loaded
+  Option.map
+    (fun s -> (Marshal.from_string s 0 : Callgraph.summary option))
+    (Store.find t ~key)
 
 let store t ~key (payload : Callgraph.summary option) =
-  let path = path_of t ~key in
-  let tmp = path ^ ".tmp" in
-  match open_out_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o644 tmp with
-  | exception Sys_error _ -> ()  (* concurrent writer: identical bytes *)
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          Marshal.to_channel oc (key : string) [];
-          Marshal.to_channel oc payload []);
-      (try
-         Sys.rename tmp path;
-         t.stores <- t.stores + 1
-       with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
+  Store.store t ~key (Marshal.to_string payload [])

@@ -4,7 +4,9 @@
     unit names in the program (the call-graph-closure invalidation key:
     canonicalisation of references in ANY unit can change when the name
     set changes) + format salt + compiler version. A warm deep lint
-    re-walks only the units whose key misses. *)
+    re-walks only the units whose key misses. Files live in a
+    {!Lbc_store.Store}, whose digest check turns a corrupt file into a
+    miss before any byte reaches [Marshal]. *)
 
 type t
 
@@ -13,7 +15,6 @@ val create : dir:string -> t
 
 val hits : t -> int
 val misses : t -> int
-val stores : t -> int
 
 val names_digest : string list -> string
 (** Digest of the sorted unit-name set. *)

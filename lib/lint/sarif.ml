@@ -71,7 +71,4 @@ let render ~actionable ~suppressed ~baselined =
     (String.concat "," results)
 
 let write ~path ~actionable ~suppressed ~baselined =
-  let text = render ~actionable ~suppressed ~baselined in
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> output_string oc text);
-  Sys.rename tmp path
+  Lbc_store.Store.write_atomic ~path (render ~actionable ~suppressed ~baselined)

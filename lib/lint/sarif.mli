@@ -4,6 +4,10 @@
     per finding; suppressed/baselined findings are emitted with
     [suppressions] of kind [inSource]/[external] respectively. *)
 
+val escape : string -> string
+(** JSON string-literal escaping (quotes, backslashes, control
+    characters), shared with the driver's [--json] report. *)
+
 val render :
   actionable:Rules.finding list ->
   suppressed:Rules.finding list ->
@@ -17,4 +21,4 @@ val write :
   suppressed:Rules.finding list ->
   baselined:Rules.finding list ->
   unit
-(** Atomic write via temp + rename. *)
+(** Atomic write via {!Lbc_store.Store.write_atomic}. *)

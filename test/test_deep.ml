@@ -155,32 +155,70 @@ let test_e4_cas_clean () =
   check_str "compare_and_set loop is the fix, not a finding" ""
     (summarize (kept_in (fixture_file "e4_cas.ml")))
 
+(* A fresh, private cache directory per test: concurrent test runs
+   (two checkouts, say) must not share one. *)
+let with_cache_dir f =
+  let dir = Filename.temp_file "lbclint-cache" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter
+           (fun f -> Sys.remove (Filename.concat dir f))
+           (Sys.readdir dir)
+       with Sys_error _ -> ());
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+let cached_run dir =
+  Deep.run ~cache_dir:dir ~build_dirs:[ "deep_fixtures" ] ~source_root:".." ()
+
 let test_cache_warm_identical () =
-  (* a fresh cache dir: cold run stores, warm run hits everything and
-     reproduces the exact same findings *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "lbclint-test-cache"
-  in
-  let () =
-    (* scrub leftovers from an earlier test-process run *)
-    if Sys.file_exists dir then
+  (* cold run stores, warm run hits everything and reproduces the exact
+     same findings *)
+  with_cache_dir (fun dir ->
+      let cold = cached_run dir in
+      let warm = cached_run dir in
+      check "cold run misses" true (cold.Deep.cache_misses > 0);
+      check_int "cold run has no hits" 0 cold.Deep.cache_hits;
+      check "warm run hits" true (warm.Deep.cache_hits > 0);
+      check_int "warm run misses nothing" 0 warm.Deep.cache_misses;
+      check "identical kept findings" true (cold.Deep.kept = warm.Deep.kept);
+      check "identical suppressed findings" true
+        (cold.Deep.suppressed = warm.Deep.suppressed);
+      check_int "same unit count" cold.Deep.units warm.Deep.units)
+
+(* Flip bytes in the tail of every cached summary: the last 16 bytes of
+   a file always lie in its marshalled payload. Unmarshalling such bytes
+   can crash the process, so the cache must reject them unread: every
+   unit misses and the findings equal the cold run's. *)
+let test_cache_corrupt_is_miss () =
+  with_cache_dir (fun dir ->
+      let cold = cached_run dir in
       Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir)
-  in
-  let run () =
-    Deep.run ~cache_dir:dir ~build_dirs:[ "deep_fixtures" ] ~source_root:".."
-      ()
-  in
-  let cold = run () in
-  let warm = run () in
-  check "cold run misses" true (cold.Deep.cache_misses > 0);
-  check_int "cold run has no hits" 0 cold.Deep.cache_hits;
-  check "warm run hits" true (warm.Deep.cache_hits > 0);
-  check_int "warm run misses nothing" 0 warm.Deep.cache_misses;
-  check "identical kept findings" true (cold.Deep.kept = warm.Deep.kept);
-  check "identical suppressed findings" true
-    (cold.Deep.suppressed = warm.Deep.suppressed);
-  check_int "same unit count" cold.Deep.units warm.Deep.units
+        (fun f ->
+          let path = Filename.concat dir f in
+          let b =
+            Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+          in
+          let n = Bytes.length b in
+          List.iter
+            (fun back ->
+              Bytes.set b (n - back)
+                (Char.chr (Char.code (Bytes.get b (n - back)) lxor 0xa5)))
+            [ 1; 4; 9; 16 ];
+          (* a new file rather than an in-place overwrite, which on ext4
+             makes the later unlink wait for a flush *)
+          Sys.remove path;
+          Out_channel.with_open_bin path (fun oc -> output_bytes oc b))
+        (Sys.readdir dir);
+      let warm = cached_run dir in
+      check_int "no hits" 0 warm.Deep.cache_hits;
+      check_int "every unit misses" cold.Deep.cache_misses
+        warm.Deep.cache_misses;
+      check "identical kept findings" true (cold.Deep.kept = warm.Deep.kept);
+      check "identical suppressed findings" true
+        (cold.Deep.suppressed = warm.Deep.suppressed))
 
 let test_m1_fires () =
   check_str "unicast outside sanctioned dirs" "M1:3"
@@ -310,6 +348,8 @@ let () =
         [
           Alcotest.test_case "warm run identical to cold" `Quick
             test_cache_warm_identical;
+          Alcotest.test_case "corrupt summaries are misses" `Quick
+            test_cache_corrupt_is_miss;
         ] );
       ( "m1",
         [
