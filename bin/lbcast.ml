@@ -537,8 +537,7 @@ let warn_recovery (r : Campaign.Journal.recovery) =
       | None -> "")
 
 let do_campaign exp gspec algo f quick domains seed out max_scenarios chaos
-    net max_rounds deadline retries strict no_steal cache no_cache
-    kill_after =
+    net max_rounds deadline retries strict cache no_cache kill_after =
   let grid =
     match (exp, gspec) with
     | Some name, _ -> (
@@ -583,7 +582,6 @@ let do_campaign exp gspec algo f quick domains seed out max_scenarios chaos
       deadline_s = deadline;
       retries;
       strict;
-      steal = not no_steal;
       kill_after_verdicts = Option.map (fun k -> (k, true)) kill_after;
     }
   in
@@ -595,6 +593,10 @@ let do_campaign exp gspec algo f quick domains seed out max_scenarios chaos
         appended
         (if appended = 1 then "" else "s");
       70
+  | exception Campaign.Pool.Task_failed fl ->
+      Printf.eprintf "\nstrict: %s: %s\n" fl.Campaign.Pool.description
+        fl.Campaign.Pool.message;
+      1
   | Campaign.Runner.Partial { completed; total; recovery } ->
       Printf.eprintf "\n";
       warn_recovery recovery;
@@ -1115,17 +1117,11 @@ let campaign_cmd =
       & info [ "strict" ]
           ~doc:
             "Fail fast: abort the whole campaign on the first crashed or \
-             timed-out scenario instead of recording a verdict and \
-             continuing.")
-  in
-  let no_steal =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:
-            "Disable work-stealing: each worker keeps its static \
-             contiguous block of scenarios (the straggler-sensitive \
-             baseline the E17 study measures against).")
+             timed-out scenario (including one stopped by $(b,--deadline)) \
+             instead of recording a verdict and continuing. The abort \
+             prints $(i,strict: DESCRIPTION: MESSAGE) naming the scenario \
+             and exits 1; verdicts journaled before it are kept for a \
+             resume.")
   in
   let cache =
     Arg.(
@@ -1165,7 +1161,7 @@ let campaign_cmd =
     Term.(
       const do_campaign $ exp $ gspec $ algo $ f_arg $ quick $ domains $ seed
       $ out $ max_scenarios $ chaos $ net $ max_rounds $ deadline $ retries
-      $ strict $ no_steal $ cache $ no_cache $ kill_after)
+      $ strict $ cache $ no_cache $ kill_after)
 
 let report_cmd =
   let path =

@@ -10,6 +10,11 @@
 #     (torn mid-record writes included) must exit 70, leave a journal,
 #     and resume to an artifact fingerprint-identical to the
 #     uninterrupted run;
+#   - a strict-mode gate: a --strict run killed by --kill-after-verdicts
+#     must still exit 70 and leave a journal that a non-strict resume
+#     completes to the uninterrupted fingerprint, and a --strict
+#     chaos-smoke run must abort with exit 1, naming the crashing
+#     scenario on stderr;
 #   - a result-cache gate: a warm re-run against the same --cache
 #     directory must answer every scenario from the cache (hits > 0,
 #     zero misses) with an identical fingerprint, and --no-cache must
@@ -162,6 +167,44 @@ for k in 1 37 150; do
   echo "kill point $k: recovered, fingerprint $rfp"
   rm -f "$tmp/crash.json"
 done
+
+echo "== strict mode: kill exits 70, scenario failure exits 1 =="
+# Strict runs share the default scheduler, so the kill shim's simulated
+# crash must surface as exit 70 (not an internal error) and its journal
+# must resume like any other.
+set +e
+dune exec bin/lbcast.exe -- campaign --exp smoke --domains 2 --strict \
+  --kill-after-verdicts 1 --out "$tmp/strict.json" > "$tmp/strict_kill.txt" 2>&1
+strict_rc=$?
+set -e
+[ "$strict_rc" -eq 70 ] \
+  || { echo "FAIL: strict kill exited $strict_rc, want 70";
+       cat "$tmp/strict_kill.txt"; exit 1; }
+[ -f "$tmp/strict.json.journal" ] \
+  || { echo "FAIL: strict kill left no journal"; exit 1; }
+dune exec bin/lbcast.exe -- campaign --exp smoke --domains 2 \
+  --out "$tmp/strict.json" > /dev/null
+sfp=$(dune exec bin/lbcast.exe -- report --fingerprint "$tmp/strict.json")
+[ "$sfp" = "$fp1" ] \
+  || { echo "FAIL: resume after strict kill $sfp != uninterrupted $fp1";
+       exit 1; }
+# A strict abort is an expected outcome: one stderr line naming the
+# failing scenario, exit 1. On one domain the first failure in grid
+# order is scenario 4, the Model_violation (equivocate) scenario.
+set +e
+dune exec bin/lbcast.exe -- campaign --exp chaos-smoke --strict \
+  --max-rounds 60 --out "$tmp/strict_chaos.json" \
+  > "$tmp/strict_chaos.txt" 2> "$tmp/strict_chaos.err"
+strict_rc=$?
+set -e
+[ "$strict_rc" -eq 1 ] \
+  || { echo "FAIL: strict chaos-smoke exited $strict_rc, want 1";
+       cat "$tmp/strict_chaos.err"; exit 1; }
+grep -q '^strict: scenario 4: a1|cycle:5|f=1|faulty=2|s=equivocate|in=11111: .*crashed' \
+  "$tmp/strict_chaos.err" \
+  || { echo "FAIL: strict abort does not name the crashing scenario";
+       cat "$tmp/strict_chaos.err"; exit 1; }
+echo "strict OK: kill exits 70 and resumes to $sfp, abort exits 1"
 
 echo "== result cache: warm re-run answers from the cache =="
 dune exec bin/lbcast.exe -- campaign --exp smoke --domains 2 \

@@ -20,7 +20,7 @@ type run_info = {
 type quarantined = { index : int; id : string; message : string }
 
 let no_cache_info = { hits = 0; misses = 0; stores = 0 }
-let no_steal_info = { steals = 0; retried = 0 }
+let zero_steal_info = { steals = 0; retried = 0 }
 
 let no_recovery_info =
   { recovered_records = 0; dropped_bytes = 0; first_corrupt_record = None }
@@ -201,7 +201,7 @@ let sim_stats t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let grid_fields t =
+let grid_fields ~backtrace t =
   [
     ("format", Jsonio.Str format_tag);
     ("campaign", Jsonio.Str t.campaign);
@@ -214,7 +214,8 @@ let grid_fields t =
         ] );
     ( "verdicts",
       Jsonio.List
-        (Array.to_list (Array.map Scenario.verdict_to_json t.verdicts)) );
+        (Array.to_list
+           (Array.map (Scenario.verdict_to_json ~backtrace) t.verdicts)) );
     ("stats", Stats.to_json t.stats);
     ( "quarantined",
       Jsonio.List
@@ -299,8 +300,12 @@ let run_field t =
             ] );
       ] )
 
-let to_string t = Jsonio.to_string (Jsonio.Obj (grid_fields t @ [ run_field t ]))
-let deterministic_string t = Jsonio.to_string (Jsonio.Obj (grid_fields t))
+let to_string t =
+  Jsonio.to_string
+    (Jsonio.Obj (grid_fields ~backtrace:true t @ [ run_field t ]))
+
+let deterministic_string t =
+  Jsonio.to_string (Jsonio.Obj (grid_fields ~backtrace:false t))
 
 let of_string s =
   let ( let* ) = Result.bind in
@@ -367,7 +372,7 @@ let of_string s =
             slowest = [];
             resumed_scenarios = 0;
             cache = no_cache_info;
-            steal = no_steal_info;
+            steal = zero_steal_info;
             recovery = no_recovery_info;
           }
       | Some r ->
@@ -410,7 +415,7 @@ let of_string s =
                   });
             steal =
               (match Jsonio.member "steal" r with
-              | None -> no_steal_info
+              | None -> zero_steal_info
               | Some st ->
                   {
                     steals = geti ~obj:st "steals";

@@ -5,8 +5,9 @@
     verdict in enumeration order, and a [run] section with wall-clock
     timing, the domain count and the scheduler/cache/recovery reports.
 
-    Everything {e except} the [run] section is a pure function of the
-    grid and the base seed — {!deterministic_string} renders exactly that
+    Everything {e except} the [run] section and crashed verdicts'
+    backtraces (which name source lines) is a pure function of the grid
+    and the base seed — {!deterministic_string} renders exactly that
     part, and is byte-identical across domain counts, scheduling orders,
     work-stealing interleavings, cache states and journal/resume
     boundaries. The [run] section is where all timing and environment
@@ -79,10 +80,7 @@ val version : int
 (** Artifact format version; serialized as ["lbc-campaign/<version>"]. *)
 
 val no_cache_info : cache_info
-val no_steal_info : steal_info
-val no_recovery_info : recovery_info
-(** All-zero reports, for callers assembling artifacts outside the
-    runner (tests, legacy conversion). *)
+(** All-zero cache tallies, for a run without a cache. *)
 
 type summary = {
   total : int;
@@ -130,10 +128,11 @@ val to_string : t -> string
 (** Full JSON rendering, including the [run] section. *)
 
 val deterministic_string : t -> string
-(** JSON rendering of everything except the [run] section — the
-    byte-comparable portion. Two campaign runs over the same grid and
-    base seed produce identical [deterministic_string]s regardless of
-    domain count or interruption. *)
+(** JSON rendering of everything except the [run] section and crashed
+    verdicts' backtraces — the byte-comparable portion. Two campaign runs
+    over the same grid and base seed produce identical
+    [deterministic_string]s regardless of domain count or interruption,
+    and a crash backtrace (which names source lines) cannot move them. *)
 
 val of_string : string -> (t, string) result
 (** Parse either rendering (a missing [run] section parses with zeroed

@@ -1,24 +1,20 @@
-(** A worker pool on OCaml 5 domains.
+(** The campaign's worker pool on OCaml 5 domains.
 
-    Built on the stdlib only ([Domain], [Mutex], [Condition], [Atomic] —
-    domainslib is deliberately not a dependency). Campaign determinism is
+    Built on the stdlib only ([Domain], [Mutex], [Atomic] — domainslib
+    is deliberately not a dependency). Campaign determinism is
     unaffected by scheduling because results are keyed by task, not by
     completion order.
 
-    With [domains <= 1] no worker domain is spawned and the calling
-    domain drains the tasks itself — through {e the same} worker loop and
-    exception-capture path as spawned workers, so 1-domain and N-domain
-    campaigns fail identically.
-
-    Three disciplines are offered: {!run} aborts on the first task
-    failure ({!Task_failed}); {!run_contained} retries each failing task
-    once and quarantines persistent failures; {!run_stealing} is the
-    campaign scheduler — per-worker contiguous blocks with tail-stealing
-    (a straggler task no longer idles the other workers behind a shared
-    FIFO's arbitrary interleaving, and a contiguous [steal:false]
-    baseline is measurable against it), capped-exponential-backoff
-    retries with deterministic jitter, an optional per-task deadline
-    watchdog, and a fatal-exception escape for crash injection. *)
+    One scheduler, {!run}: per-worker contiguous blocks with
+    tail-stealing (a straggler task does not idle the other workers),
+    capped-exponential-backoff retries with deterministic jitter and
+    quarantine of persistent failures, an optional per-task deadline
+    watchdog, and a fatal-exception escape that aborts the pool — the
+    runner's strict mode and the crash-injection shim both leave through
+    it. With [domains <= 1] no worker domain is spawned and the calling
+    domain drains every block itself, through the same worker loop and
+    failure path as spawned workers, so 1-domain and N-domain campaigns
+    fail identically. *)
 
 type failure = {
   index : int;  (** position of the failing task in [tasks] *)
@@ -37,59 +33,43 @@ exception Task_failed of failure
     and original exception message, so even an uncaught failure
     identifies the task that crashed. *)
 
-val run :
-  ?describe:(int -> 'a -> string) ->
-  domains:int ->
-  tasks:'a array ->
-  ('a -> unit) ->
-  unit
-(** Execute [f task] once for every element of [tasks], using the calling
-    domain plus [domains - 1] spawned domains. Returns when all tasks are
-    done. [f] must be domain-safe (the campaign runner's task bodies only
-    touch per-task state and a mutex-protected sink).
-
-    If any [f] raises, remaining queued tasks are abandoned, all domains
-    are joined, and {!Task_failed} is raised carrying the first failure
-    (task index, [describe]'s rendering, exception message, backtrace). *)
-
-val run_contained :
-  ?describe:(int -> 'a -> string) ->
-  domains:int ->
-  tasks:'a array ->
-  ('a -> unit) ->
-  failure list
-(** Like {!run}, but self-healing: a task whose [f] raises (including
-    [Stack_overflow]) is retried once on the same worker; a task that
-    fails twice is {e quarantined} — recorded and skipped — and the pool
-    keeps draining the queue. Every task is attempted; the pool never
-    poisons. Returns the quarantined failures sorted by task index
-    (deterministic: retry happens inline on the worker that saw the
-    failure, so the failure set is independent of scheduling), each
-    carrying the first attempt's message in [prior_messages]. *)
+val failure_of :
+  describe:(int -> 'a -> string) ->
+  attempts:int ->
+  prior:string list ->
+  int ->
+  'a ->
+  exn ->
+  Printexc.raw_backtrace ->
+  failure
+(** [failure_of ~describe ~attempts ~prior index task exn bt]: the record
+    for a task whose last attempt raised [exn] with backtrace [bt] — what
+    {!run} quarantines, and what the runner's strict mode raises as
+    {!Task_failed}. *)
 
 type steal_report = {
   steals : int;  (** tasks executed by a non-owner worker *)
   retried : int;  (** retry attempts across all tasks *)
 }
 
-val run_stealing :
+val run :
   ?describe:(int -> 'a -> string) ->
   ?seed:int ->
   ?retries:int ->
   ?backoff_s:float * float ->
   ?deadline:float * (int -> 'a -> unit) ->
-  ?steal:bool ->
   ?fatal:(exn -> bool) ->
   domains:int ->
   tasks:'a array ->
   (int -> 'a -> unit) ->
   steal_report * failure list
-(** The scenario-granular campaign scheduler. Tasks are partitioned into
-    contiguous per-worker blocks; each worker pops its own block from the
-    front and, when empty, steals from the {e back} of other workers'
-    blocks in ring order ([steal], default [true]; [false] gives the
-    static contiguous baseline, for measuring what stealing buys). [f]
-    receives the task's index alongside the task.
+(** Execute [f index task] once for every element of [tasks], using the
+    calling domain plus [domains - 1] spawned domains; returns when every
+    task is done. [f] must be domain-safe (the campaign runner's task
+    bodies only touch per-task state and a mutex-protected sink). Tasks
+    are partitioned into contiguous per-worker blocks; each worker pops
+    its own block from the front and, when empty, steals from the
+    {e back} of other workers' blocks in ring order.
 
     A failing task is retried up to [retries] (default 1) more times,
     inline on the same worker — so the final failure set is independent
@@ -111,4 +91,5 @@ val run_stealing :
     in-flight tasks finish, queued ones are abandoned, every domain is
     joined, and the exception is re-raised to the caller. The kill-point
     fuzzer routes {!Journal.Killed} through this to simulate a crash at
-    an exact journal position. *)
+    an exact journal position, and the runner's strict mode routes the
+    {!Task_failed} it raises for the first failing scenario. *)

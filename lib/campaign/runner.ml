@@ -9,7 +9,6 @@ type config = {
   deadline_s : float option;
   retries : int;
   strict : bool;
-  steal : bool;
   kill_after_verdicts : (int * bool) option;
 }
 
@@ -25,7 +24,6 @@ let default =
     deadline_s = None;
     retries = 1;
     strict = false;
-    steal = true;
     kill_after_verdicts = None;
   }
 
@@ -164,7 +162,7 @@ let run ?(config = default) grid =
                 Scenario.execute_observed ~base_seed:config.base_seed ~index:i
                   s)
           in
-          (* Strict mode re-raises contained failures so they poison the
+          (* Strict mode re-raises contained failures so they abort the
              pool — the fail-fast discipline, with the scenario id in the
              failure message. *)
           (if config.strict then
@@ -229,58 +227,65 @@ let run ?(config = default) grid =
   let describe _pos i =
     Printf.sprintf "scenario %d: %s" i (Scenario.id scenarios.(i))
   in
+  (* Strict mode fails fast through the pool's fatal escape: the first
+     crashed or timed-out scenario (or any other task exception) becomes
+     a [Task_failed] naming it, which aborts the pool like the kill
+     shim's [Journal.Killed] — so strict runs keep the watchdog and the
+     abort path of the default mode, and never retry or quarantine. *)
+  let task pos i =
+    if not config.strict then exec i
+    else
+      match exec i with
+      | () -> ()
+      | exception (Journal.Killed _ as killed) -> raise killed
+      | exception exn ->
+          let bt = Printexc.get_raw_backtrace () in
+          raise
+            (Pool.Task_failed
+               (Pool.failure_of ~describe ~attempts:1 ~prior:[] pos i exn bt))
+  in
   Fun.protect ~finally:(fun () -> Option.iter Journal.close writer)
   @@ fun () ->
-  let steal_report, quarantined =
-    if config.strict then begin
-      Pool.run ~describe ~domains:config.domains ~tasks:pending exec;
-      ({ Pool.steals = 0; retried = 0 }, [])
-    end
-    else
-      let report, failures =
-        Pool.run_stealing ~describe ~seed:config.base_seed
-          ~retries:config.retries
-          ?deadline:
-            (Option.map (fun limit -> (limit, on_overdue)) config.deadline_s)
-          ~steal:config.steal
-          ~fatal:(function Journal.Killed _ -> true | _ -> false)
-          ~domains:config.domains ~tasks:pending
-          (fun _pos i -> exec i)
-      in
-      (* Quarantine at scenario granularity: the failing scenario gets a
-         deterministic crash-record verdict; every other scenario is
-         unaffected. Quarantined verdicts are deliberately NOT journaled
-         — a resumed run gets a fresh chance at them. *)
-      let quarantined =
-        List.map
-          (fun (fl : Pool.failure) ->
-            let i = pending.(fl.Pool.index) in
-            let s = scenarios.(i) in
-            let id = Scenario.id s in
-            let message =
-              match fl.Pool.prior_messages with
-              | [] -> fl.Pool.message
-              | prior -> String.concat "; then " (prior @ [ fl.Pool.message ])
-            in
-            (if slots.(i) = None then
-               let seed = Scenario.scenario_seed ~base:config.base_seed s in
-               let verdict =
-                 Scenario.crashed_verdict ~index:i ~id
-                   ~repro:(Scenario.repro_command s ~seed) ~message
-               in
-               slots.(i) <-
-                 Some
-                   {
-                     Journal.index = i;
-                     wall_s = 0.0;
-                     algo = Scenario.algo_name s.Scenario.algo;
-                     counters = [];
-                     verdict;
-                   });
-            { Artifact.index = i; id; message })
-          failures
-      in
-      (report, quarantined)
+  let steal_report, failures =
+    Pool.run ~describe ~seed:config.base_seed ~retries:config.retries
+      ?deadline:
+        (Option.map (fun limit -> (limit, on_overdue)) config.deadline_s)
+      ~fatal:(function
+        | Pool.Task_failed _ | Journal.Killed _ -> true | _ -> false)
+      ~domains:config.domains ~tasks:pending task
+  in
+  (* Quarantine at scenario granularity: the failing scenario gets a
+     deterministic crash-record verdict; every other scenario is
+     unaffected. Quarantined verdicts are deliberately NOT journaled — a
+     resumed run gets a fresh chance at them. *)
+  let quarantined =
+    List.map
+      (fun (fl : Pool.failure) ->
+        let i = pending.(fl.Pool.index) in
+        let s = scenarios.(i) in
+        let id = Scenario.id s in
+        let message =
+          match fl.Pool.prior_messages with
+          | [] -> fl.Pool.message
+          | prior -> String.concat "; then " (prior @ [ fl.Pool.message ])
+        in
+        (if slots.(i) = None then
+           let seed = Scenario.scenario_seed ~base:config.base_seed s in
+           let verdict =
+             Scenario.crashed_verdict ~index:i ~id
+               ~repro:(Scenario.repro_command s ~seed) ~message
+           in
+           slots.(i) <-
+             Some
+               {
+                 Journal.index = i;
+                 wall_s = 0.0;
+                 algo = Scenario.algo_name s.Scenario.algo;
+                 counters = [];
+                 verdict;
+               });
+        { Artifact.index = i; id; message })
+      failures
   in
   if Array.exists (( = ) None) slots then
     Partial { completed = !done_count; total; recovery }

@@ -50,18 +50,19 @@ type config = {
   retries : int;
       (** infrastructure-failure retries per scenario (default 1), with
           capped exponential backoff and deterministic jitter
-          ({!Pool.run_stealing}); a scenario still failing is quarantined *)
+          ({!Pool.run}); a scenario still failing is quarantined. Unused in
+          strict mode, which never retries. *)
   strict : bool;
       (** [false] (default): self-healing — scenario crashes and
           timeouts become verdicts, a scenario exhausting its retries at
           the infrastructure level is quarantined, and the campaign runs
           to [Complete]. [true]: fail fast — the first crashed or
           timed-out scenario (or infrastructure failure) aborts the pool
-          with {!Pool.Task_failed}, whose message names the scenario. *)
-  steal : bool;
-      (** [true] (default): work-stealing scheduling. [false]: static
-          contiguous per-worker blocks — the measurable baseline the E17
-          straggler study compares against. *)
+          with {!Pool.Task_failed}, whose message names the scenario
+          ([attempts = 1]: nothing is retried). Strict runs use the same
+          scheduler as the default mode, so [deadline_s] still arms the
+          watchdog (an overdue scenario aborts as timed out) and
+          [kill_after_verdicts] still raises {!Journal.Killed}. *)
   kill_after_verdicts : (int * bool) option;
       (** crash-injection hook for the kill-point fuzzer: [(k, torn)]
           raises {!Journal.Killed} at the [k]-th journal append of this
@@ -72,7 +73,7 @@ type config = {
 val default : config
 (** [domains = 1], [base_seed = 0], no journal, no cache, no stop, no
     progress callback, no round budget, no deadline, [retries = 1], not
-    strict, stealing on, no kill point. *)
+    strict, no kill point. *)
 
 type outcome =
   | Complete of Artifact.t

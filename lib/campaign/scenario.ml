@@ -321,11 +321,10 @@ let execute ?(base_seed = 0) ?max_rounds ~index s =
   | Engine.Fuel_exhausted { budget } ->
       failed_verdict ~index s (Timed_out { budget })
   | exn ->
-      (* Capture the backtrace before anything else can raise: the
-         frames from the raise point up to this handler are a pure
-         function of the scenario, so the string is identical no matter
-         which domain executes the shard — it can live in the
-         deterministic portion of the artifact. *)
+      (* Capture the backtrace before anything else can raise. It names
+         source lines, so it stays out of the artifact's deterministic
+         portion: an edit anywhere on the crash path would otherwise
+         change the campaign fingerprint. *)
       let backtrace =
         Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
       in
@@ -384,19 +383,16 @@ let bit_opt_json = function
   | None -> Jsonio.Null
   | Some b -> Jsonio.Int (Bit.to_int b)
 
-let status_fields = function
+let status_fields ~backtrace = function
   | Checked -> []
   | Timed_out { budget } ->
       [ ("status", Jsonio.Str "timeout"); ("budget", Jsonio.Int budget) ]
-  | Crashed { exn; backtrace; repro } ->
-      [
-        ("status", Jsonio.Str "crashed");
-        ("exn", Jsonio.Str exn);
-        ("backtrace", Jsonio.Str backtrace);
-        ("repro", Jsonio.Str repro);
-      ]
+  | Crashed { exn; backtrace = bt; repro } ->
+      (("status", Jsonio.Str "crashed") :: ("exn", Jsonio.Str exn)
+       :: (if backtrace then [ ("backtrace", Jsonio.Str bt) ] else []))
+      @ [ ("repro", Jsonio.Str repro) ]
 
-let verdict_to_json v =
+let verdict_to_json ?(backtrace = true) v =
   let base =
     [
       ("i", Jsonio.Int v.index);
@@ -419,7 +415,7 @@ let verdict_to_json v =
     | None -> []
     | Some s -> [ ("counterexample", Jsonio.Str s) ]
   in
-  Jsonio.Obj (base @ status_fields v.status @ cx)
+  Jsonio.Obj (base @ status_fields ~backtrace v.status @ cx)
 
 let verdict_of_json j =
   let ( let* ) = Option.bind in

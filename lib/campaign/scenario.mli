@@ -124,8 +124,7 @@ val crashed_verdict :
     quarantines a scenario whose {e execution machinery} (not the
     scenario itself) failed repeatedly: status {!Crashed} with [message]
     as the exception text, the given reproduction command, and an empty
-    backtrace — worker call stacks differ across domain counts, and this
-    verdict lives in the artifact's byte-comparable portion. *)
+    backtrace — the worker's call stack says nothing about the scenario. *)
 
 val execute : ?base_seed:int -> ?max_rounds:int -> index:int -> t -> verdict
 (** Build a fresh graph and run the scenario to a verdict. [base_seed]
@@ -136,17 +135,10 @@ val execute : ?base_seed:int -> ?max_rounds:int -> index:int -> t -> verdict
     {!Timed_out} verdict, and one that raises anything else (including
     [Stack_overflow]) returns a {!Crashed} verdict carrying the
     exception, its backtrace and a reproduction command — [execute]
-    itself never raises on scenario failure. Both failure verdicts are
-    deterministic (the backtrace is captured between the raise and this
-    handler, on whichever domain runs the scenario), so they live in the
-    artifact's byte-comparable portion. *)
-
-val execute_strict :
-  ?base_seed:int -> ?max_rounds:int -> index:int -> t -> verdict
-(** {!execute} without the containment: scenario exceptions (and
-    {!Lbc_sim.Engine.Fuel_exhausted}) propagate to the caller. For
-    callers that want a raising scenario to abort the whole batch — the
-    runner's strict mode. *)
+    itself never raises on scenario failure. Both failure verdicts live
+    in the artifact's byte-comparable portion, minus the backtrace: it
+    names source lines, so {!Artifact.deterministic_string} leaves it
+    out (the saved artifact keeps it). *)
 
 val execute_observed :
   ?base_seed:int ->
@@ -163,7 +155,10 @@ val execute_observed :
     happens wholly on the calling domain, so the list is identical no
     matter which domain or process runs it. *)
 
-val verdict_to_json : verdict -> Jsonio.t
+val verdict_to_json : ?backtrace:bool -> verdict -> Jsonio.t
+(** [backtrace] (default [true]) includes a {!Crashed} verdict's
+    backtrace; the artifact's deterministic rendering passes [false]. *)
+
 val verdict_of_json : Jsonio.t -> (verdict, string) result
 
 val pp_verdict : Format.formatter -> verdict -> unit

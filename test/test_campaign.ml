@@ -213,91 +213,25 @@ let test_fingerprint_order_sensitive () =
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_pool_executes_all () =
-  List.iter
-    (fun domains ->
-      let n = 53 in
-      let hits = Array.make n 0 in
-      let m = Mutex.create () in
-      C.Pool.run ~domains
-        ~tasks:(Array.init n (fun i -> i))
-        (fun i ->
-          Mutex.lock m;
-          hits.(i) <- hits.(i) + 1;
-          Mutex.unlock m);
-      check
-        (Printf.sprintf "every task ran exactly once (domains=%d)" domains)
-        true
-        (Array.for_all (( = ) 1) hits))
-    [ 1; 2; 4 ]
-
-(* Regression: the pool used to re-raise the bare scenario exception,
-   losing which task crashed. [Task_failed] now carries the task index,
-   the caller's description and the original message. *)
-let test_pool_propagates_exception () =
-  List.iter
-    (fun domains ->
-      match
-        C.Pool.run ~domains
-          ~describe:(fun i _ -> Printf.sprintf "task-%d" i)
-          ~tasks:(Array.init 20 (fun i -> i))
-          (fun i -> if i = 7 then failwith "boom")
-      with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception C.Pool.Task_failed fl ->
-          check_int
-            (Printf.sprintf "failing task identified (domains=%d)" domains)
-            7 fl.C.Pool.index;
-          check_str "description carried" "task-7" fl.C.Pool.description;
-          check "original message carried" true
-            (fl.C.Pool.message = "Failure(\"boom\")");
-          check_int "single attempt" 1 fl.C.Pool.attempts)
-    (* domains=1 exercises the former fast path, which used to bypass
-       exception capture entirely; it must behave like the worker path. *)
-    [ 1; 3 ]
-
-let test_pool_contained_quarantines_after_retry () =
-  let attempts = Atomic.make 0 in
-  let ran = Array.make 10 false in
-  let failures =
-    C.Pool.run_contained ~domains:2
-      ~describe:(fun i _ -> Printf.sprintf "task-%d" i)
-      ~tasks:(Array.init 10 (fun i -> i))
-      (fun i ->
-        if i = 3 then begin
-          Atomic.incr attempts;
-          failwith "deterministic"
-        end
-        else ran.(i) <- true)
-  in
-  (match failures with
-  | [ fl ] ->
-      check_int "failed task index" 3 fl.C.Pool.index;
-      check_int "retried once" 2 fl.C.Pool.attempts;
-      check_str "description names the task" "task-3" fl.C.Pool.description
-  | fls -> Alcotest.failf "expected 1 failure, got %d" (List.length fls));
-  check_int "both attempts executed" 2 (Atomic.get attempts);
-  check "all other tasks completed" true
-    (Array.for_all Fun.id (Array.init 10 (fun i -> i = 3 || ran.(i))))
-
-let test_pool_contained_retry_heals_transient () =
+let test_pool_retry_heals_transient () =
   let first = Atomic.make true in
-  let failures =
-    C.Pool.run_contained ~domains:1
+  let report, failures =
+    C.Pool.run ~domains:1
       ~tasks:(Array.init 5 (fun i -> i))
-      (fun i ->
+      (fun _pos i ->
         if i = 2 && Atomic.exchange first false then failwith "transient")
   in
-  check_int "transient failure healed silently" 0 (List.length failures)
+  check_int "transient failure healed silently" 0 (List.length failures);
+  check_int "one retry recorded" 1 report.C.Pool.retried
 
-(* Satellite regression: a quarantine after a transient-then-different
-   failure must surface both attempts' messages, not just the last. *)
-let test_pool_contained_records_prior_messages () =
+(* A quarantine after a transient-then-different failure must surface
+   both attempts' messages, not just the last. *)
+let test_pool_records_prior_messages () =
   let first = Atomic.make true in
-  let failures =
-    C.Pool.run_contained ~domains:1
+  let _report, failures =
+    C.Pool.run ~domains:1
       ~tasks:(Array.init 4 (fun i -> i))
-      (fun i ->
+      (fun _pos i ->
         if i = 1 then
           if Atomic.exchange first false then failwith "transient I/O"
           else failwith "persistent")
@@ -312,24 +246,25 @@ let test_pool_contained_records_prior_messages () =
 
 let test_stealing_executes_all () =
   List.iter
-    (fun (domains, steal) ->
+    (fun domains ->
       let n = 47 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
       let report, failures =
-        C.Pool.run_stealing ~steal ~domains
+        C.Pool.run ~domains
           ~tasks:(Array.init n (fun i -> i))
           (fun pos i ->
             check_int "position matches task" i pos;
             Atomic.incr hits.(i))
       in
       check
-        (Printf.sprintf "exactly once (domains=%d steal=%b)" domains steal)
+        (Printf.sprintf "exactly once (domains=%d)" domains)
         true
         (Array.for_all (fun h -> Atomic.get h = 1) hits);
       check_int "no failures" 0 (List.length failures);
-      if not steal then
-        check_int "contiguous baseline never steals" 0 report.C.Pool.steals)
-    [ (1, true); (4, true); (1, false); (4, false) ]
+      if domains = 1 then
+        check_int "a lone worker has no one to steal from" 0
+          report.C.Pool.steals)
+    [ 1; 4 ]
 
 (* Satellite property: the stealing pool under contention — random task
    counts, domain counts, deterministic failure sets and an optional
@@ -355,7 +290,7 @@ let prop_stealing_poison_and_exactly_once =
         if fails i then failwith "task failure"
       in
       match
-        C.Pool.run_stealing ~seed:mask ~retries:1 ~backoff_s:(0.0001, 0.001)
+        C.Pool.run ~seed:mask ~retries:1 ~backoff_s:(0.0001, 0.001)
           ~fatal:(function Poison -> true | _ -> false)
           ~domains
           ~tasks:(Array.init n (fun i -> i))
@@ -387,7 +322,7 @@ let prop_stealing_poison_and_exactly_once =
 let small_grid () = grid_of_ints (5, 7, 3)
 
 let config ?(domains = 1) ?journal ?cache ?stop_after ?max_rounds
-    ?(strict = false) ?(steal = true) ?kill () =
+    ?(strict = false) ?kill ?deadline_s () =
   {
     C.Runner.default with
     C.Runner.domains;
@@ -396,8 +331,8 @@ let config ?(domains = 1) ?journal ?cache ?stop_after ?max_rounds
     stop_after;
     max_rounds;
     strict;
-    steal;
     kill_after_verdicts = kill;
+    deadline_s;
   }
 
 let test_runner_deterministic_across_domains () =
@@ -579,6 +514,11 @@ let mixed_grid () =
   Grid.append ~name:"mixed"
     [ small_grid (); Grid.of_list ~name:"raising" [ raising_scenario () ] ]
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_crashed_scenario_contained () =
   List.iter
     (fun domains ->
@@ -603,13 +543,6 @@ let test_crashed_scenario_contained () =
                 v.Scenario.id;
               match v.Scenario.status with
               | Scenario.Crashed { exn; repro; _ } ->
-                  let contains needle hay =
-                    let nl = String.length needle and hl = String.length hay in
-                    let rec go i =
-                      i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
-                    in
-                    go 0
-                  in
                   check "exception recorded" true
                     (contains "Model_violation" exn || exn <> "");
                   check "repro command recorded" true (contains "lbcast run" repro)
@@ -617,23 +550,110 @@ let test_crashed_scenario_contained () =
           | vs -> Alcotest.failf "expected 1 crashed verdict, got %d" (List.length vs))
     [ 1; 4 ]
 
+(* Strict mode aborts through the pool's fatal escape with a failure
+   naming the first failing scenario: its task index, the runner's
+   description, and a single attempt (strict never retries). *)
 let test_strict_mode_reports_scenario_id () =
+  let raising = Array.length (Grid.to_array (mixed_grid ())) - 1 in
+  List.iter
+    (fun domains ->
+      match
+        C.Runner.run ~config:(config ~domains ~strict:true ()) (mixed_grid ())
+      with
+      | exception C.Pool.Task_failed fl ->
+          let id = Scenario.id (raising_scenario ()) in
+          check_int
+            (Printf.sprintf "failing task identified (domains=%d)" domains)
+            raising fl.C.Pool.index;
+          check_str "description names the scenario"
+            (Printf.sprintf "scenario %d: %s" raising id)
+            fl.C.Pool.description;
+          check "failure message names the scenario id" true
+            (contains id fl.C.Pool.message);
+          check_int "single attempt" 1 fl.C.Pool.attempts
+      | _ -> Alcotest.fail "strict mode must abort the pool")
+    [ 1; 3 ]
+
+(* Regression: strict mode used to run on a separate pool that wrapped
+   the kill shim's simulated crash in [Task_failed], so the CLI reported
+   an internal error instead of exiting 70. *)
+let test_strict_mode_kill_is_a_crash () =
+  let path = Filename.temp_file "lbc-strict" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      match
+        C.Runner.run
+          ~config:
+            (config ~domains:2 ~strict:true ~journal:path ~kill:(3, false) ())
+          (small_grid ())
+      with
+      | exception C.Journal.Killed { appended } ->
+          check_int "killed at the third append" 3 appended
+      | exception exn ->
+          Alcotest.failf "expected Journal.Killed, got %s"
+            (Printexc.to_string exn)
+      | _ -> Alcotest.fail "kill point did not fire")
+
+(* Regression: strict mode used to skip the deadline watchdog, so an
+   overdue scenario ran to completion. A1 on the Petersen graph runs 110
+   rounds — far past a millisecond — and must abort as timed out. *)
+let test_strict_mode_honours_deadline () =
+  let grid =
+    Grid.product ~name:"slow"
+      ~graphs:[ ("petersen", 1, B.petersen) ]
+      ~algos:[ Scenario.A1 ] ~placements:Grid.singleton_placements
+      ~strategies:[ S.Flip_forwards ] ~inputs:Grid.unanimous_inputs ()
+  in
   match
-    C.Runner.run ~config:(config ~strict:true ()) (mixed_grid ())
+    C.Runner.run ~config:(config ~strict:true ~deadline_s:0.001 ()) grid
   with
   | exception C.Pool.Task_failed fl ->
-      let contains needle hay =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i =
-          i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
-        in
-        go 0
-      in
-      check "failure message names the scenario id" true
-        (contains (Scenario.id (raising_scenario ())) fl.C.Pool.message);
-      check "description names the scenario" true
-        (contains "scenario" fl.C.Pool.description)
-  | _ -> Alcotest.fail "strict mode must poison the pool"
+      check "failure reports a timeout" true
+        (contains "timed out" fl.C.Pool.message)
+  | exception exn ->
+      Alcotest.failf "expected Task_failed, got %s" (Printexc.to_string exn)
+  | _ -> Alcotest.fail "strict deadline must abort the pool"
+
+(* A crashed verdict's backtrace names source lines, so it stays in the
+   saved artifact but out of the deterministic rendering: two artifacts
+   differing only there must fingerprint identically. *)
+let test_crash_backtrace_not_fingerprinted () =
+  let a = C.Runner.run_exn ~config:(config ()) (mixed_grid ()) in
+  let with_backtrace bt =
+    {
+      a with
+      C.Artifact.verdicts =
+        Array.map
+          (fun (v : Scenario.verdict) ->
+            match v.Scenario.status with
+            | Scenario.Crashed c ->
+                {
+                  v with
+                  Scenario.status = Scenario.Crashed { c with backtrace = bt };
+                }
+            | Scenario.Checked | Scenario.Timed_out _ -> v)
+          a.C.Artifact.verdicts;
+    }
+  in
+  let a1 = with_backtrace "Raised at Foo in file \"foo.ml\", line 1" in
+  let a2 = with_backtrace "Raised at Foo in file \"foo.ml\", line 2" in
+  check_str "deterministic strings equal"
+    (C.Artifact.deterministic_string a1)
+    (C.Artifact.deterministic_string a2);
+  check "saved artifacts differ" true
+    (C.Artifact.to_string a1 <> C.Artifact.to_string a2);
+  match C.Artifact.of_string (C.Artifact.to_string a2) with
+  | Ok a' ->
+      check "backtrace survives save/load" true
+        (Array.exists
+           (fun (v : Scenario.verdict) ->
+             match v.Scenario.status with
+             | Scenario.Crashed { backtrace; _ } ->
+                 backtrace = "Raised at Foo in file \"foo.ml\", line 2"
+             | Scenario.Checked | Scenario.Timed_out _ -> false)
+           a'.C.Artifact.verdicts)
+  | Error e -> Alcotest.failf "artifact parse: %s" e
 
 let test_max_rounds_times_out () =
   (* A1 on the Petersen graph needs 110 rounds; a 60-round budget must
@@ -963,15 +983,10 @@ let () =
              test_fingerprint_order_sensitive
         :: qt [ prop_sharding_is_partition ] );
       ( "pool",
-        Alcotest.test_case "executes all tasks" `Quick test_pool_executes_all
-        :: Alcotest.test_case "propagates exceptions" `Quick
-             test_pool_propagates_exception
-        :: Alcotest.test_case "quarantine after retry" `Quick
-             test_pool_contained_quarantines_after_retry
-        :: Alcotest.test_case "retry heals transient" `Quick
-             test_pool_contained_retry_heals_transient
+        Alcotest.test_case "retry heals transient" `Quick
+          test_pool_retry_heals_transient
         :: Alcotest.test_case "prior messages recorded" `Quick
-             test_pool_contained_records_prior_messages
+             test_pool_records_prior_messages
         :: Alcotest.test_case "stealing executes all" `Quick
              test_stealing_executes_all
         :: qt [ prop_stealing_poison_and_exactly_once ] );
@@ -1003,6 +1018,12 @@ let () =
             test_crashed_scenario_contained;
           Alcotest.test_case "strict mode reports scenario id" `Quick
             test_strict_mode_reports_scenario_id;
+          Alcotest.test_case "strict mode kill is a crash" `Quick
+            test_strict_mode_kill_is_a_crash;
+          Alcotest.test_case "strict mode honours deadline" `Quick
+            test_strict_mode_honours_deadline;
+          Alcotest.test_case "crash backtrace not fingerprinted" `Quick
+            test_crash_backtrace_not_fingerprinted;
           Alcotest.test_case "max_rounds times out" `Quick
             test_max_rounds_times_out;
           Alcotest.test_case "failure verdicts deterministic" `Quick

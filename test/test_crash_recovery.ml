@@ -249,7 +249,7 @@ let test_stealing_drains_straggler_block () =
   let n = 16 in
   let hits = Array.init n (fun _ -> Atomic.make 0) in
   let report, failures =
-    C.Pool.run_stealing ~domains:4
+    C.Pool.run ~domains:4
       ~tasks:(Array.init n (fun i -> i))
       (fun _pos i ->
         (* task 0 stalls its owner; the other three workers drain their
@@ -266,7 +266,7 @@ let test_stealing_drains_straggler_block () =
 let test_watchdog_fires_on_overdue_task () =
   let fired = Array.init 4 (fun _ -> Atomic.make false) in
   let _report, failures =
-    C.Pool.run_stealing ~domains:2
+    C.Pool.run ~domains:2
       ~deadline:(0.02, fun _pos i -> Atomic.set fired.(i) true)
       ~tasks:(Array.init 4 (fun i -> i))
       (fun _pos i ->
