@@ -1,13 +1,13 @@
-(* Benchmark and experiment harness.
+(* Paper-experiment harness.
 
    The paper (PODC'19) is a theory paper: its "evaluation" artefacts are
    Figure 1 (graphs meeting the tight condition), Figures 2-5 / Table 1
    (the necessity gadgets), and the quantitative claims in the text
    (round complexity, phase counts, threshold trade-offs). This harness
-   regenerates each of them as an experiment E1-E18 (see DESIGN.md and
-   EXPERIMENTS.md), then times the core operations with Bechamel
-   (B1-B6), and writes a machine-readable BENCH_10.json (per-experiment
-   wall-clock + key obs counters) next to the human tables.
+   regenerates each of them as an experiment E1-E15 (see DESIGN.md and
+   EXPERIMENTS.md) and prints them as tables on stdout; E17 checks the
+   campaign core's kill/resume and result-cache identities. It writes no
+   file: timing trends belong to bench/perf (lbcbench).
 
    The exhaustive sweeps (E1, E2, E5, E8) are expressed as declarative
    campaign grids (lib/campaign) and execute on an OCaml 5 domain pool;
@@ -16,7 +16,8 @@
 
    Run with:  dune exec bench/main.exe            (full, ~ minutes)
               dune exec bench/main.exe -- --quick (reduced sweeps)
-              dune exec bench/main.exe -- --domains 4                    *)
+              dune exec bench/main.exe -- --domains 4
+   Any other argument is a usage error (exit 2).                         *)
 
 module B = Lbc_graph.Builders
 module G = Lbc_graph.Graph
@@ -29,20 +30,28 @@ module Spec = Lbc_consensus.Spec
 module A1 = Lbc_consensus.Algorithm1
 module A2 = Lbc_consensus.Algorithm2
 module A3 = Lbc_consensus.Algorithm3
-module EIG = Lbc_consensus.Baseline_eig
-module Relay = Lbc_consensus.Baseline_relay
 module S = Lbc_adversary.Strategy
 module Gadget = Lbc_lowerbound.Gadget
 
-let quick = Array.exists (( = ) "--quick") Sys.argv
-
-let domains =
-  let rec scan = function
-    | "--domains" :: v :: _ -> Option.value ~default:1 (int_of_string_opt v)
-    | _ :: rest -> scan rest
-    | [] -> 1
+(* Exactly two flags. A typo must not fall through to the full
+   multi-minute run, so anything else is a usage error (exit 2). *)
+let quick, domains =
+  let usage msg =
+    Printf.eprintf "main.exe: %s\nusage: main.exe [--quick] [--domains N]\n"
+      msg;
+    exit 2
   in
-  scan (Array.to_list Sys.argv)
+  let rec scan quick domains = function
+    | [] -> (quick, domains)
+    | "--quick" :: rest -> scan true domains rest
+    | "--domains" :: v :: rest -> (
+        match int_of_string_opt v with
+        | Some d when d >= 1 -> scan quick d rest
+        | _ -> usage ("--domains expects an integer >= 1, got " ^ v))
+    | [ "--domains" ] -> usage "--domains expects a value"
+    | arg :: _ -> usage ("unknown argument " ^ arg)
+  in
+  scan false 1 (List.tl (Array.to_list Sys.argv))
 
 let header id title =
   Printf.printf "\n%s\n %s  %s\n%s\n" (String.make 78 '=') id title
@@ -57,91 +66,12 @@ let kind_name k = Format.asprintf "%a" S.pp_kind k
 module Campaign = Lbc_campaign
 module Net = Lbc_net.Net
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable results (BENCH_10.json)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Alongside the human tables, the harness records each experiment's
-   wall-clock and the key obs counters its campaigns accumulated, and
-   writes them as BENCH_10.json — a small, diffable trend signal for the
-   instrumented hot paths (bench/ is not lib/, so top-level refs are
-   fine here). *)
-let tracked_counters =
-  [
-    "engine.rounds"; "engine.tx"; "flood.accept"; "packing.dfs_visited";
-    "packing.cache_hit"; "packing.cache_miss"; "perturb.dropped"; "net.sim_ns";
-    "net.link_ns.count"; "net.link_ns.sum";
-  ]
-
-let bench_entries : (string * float * (string * int) list) list ref = ref []
-let current_counters : (string * int) list ref = ref []
-
-let note_artifact_counters (a : Campaign.Artifact.t) =
-  List.iter
-    (fun name ->
-      let total =
-        List.fold_left
-          (fun acc (b : Campaign.Stats.algo_stats) ->
-            acc
-            + Campaign.Stats.counter a.Campaign.Artifact.stats
-                ~algo:b.Campaign.Stats.algo name)
-          0 a.Campaign.Artifact.stats
-      in
-      if total <> 0 then
-        current_counters :=
-          (name, total + (try List.assoc name !current_counters with Not_found -> 0))
-          :: List.remove_assoc name !current_counters)
-    tracked_counters
-
-let compare_counters (a, _) (b, _) = String.compare a b
-
-let timed id f =
-  current_counters := [];
-  let t0 = Campaign.Clock.now_s () in
-  f ();
-  let wall = Campaign.Clock.now_s () -. t0 in
-  bench_entries :=
-    (id, wall, List.sort compare_counters !current_counters) :: !bench_entries
-
-let write_bench_json path =
-  let module J = Campaign.Jsonio in
-  let j =
-    J.Obj
-      [
-        ("format", J.Str "lbc-bench/1");
-        ("quick", J.Bool quick);
-        ("domains", J.Int domains);
-        ( "experiments",
-          J.List
-            (List.rev_map
-               (fun (id, wall, counters) ->
-                 J.Obj
-                   [
-                     ("id", J.Str id);
-                     (* wall times are integer microseconds: exactly
-                        representable, so the JSON is diffable and
-                        format-stable (lbc-bench/1) *)
-                     ("wall_us", J.Int (int_of_float (Float.round (wall *. 1e6))));
-                     ( "counters",
-                       J.Obj (List.map (fun (k, v) -> (k, J.Int v)) counters)
-                     );
-                   ])
-               !bench_entries) );
-      ]
-  in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (J.to_string j);
-      output_char oc '\n');
-  Printf.printf "\nmachine-readable results -> %s\n" path
-
 (* Execute a grid on the domain pool; verdicts come back ordered by
    scenario index, i.e. aligned with [Grid.to_array]. *)
 let run_campaign grid =
   let config = { Campaign.Runner.default with domains } in
   let scenarios = Campaign.Grid.to_array grid in
-  let a = Campaign.Runner.run_exn ~config grid in
-  note_artifact_counters a;
-  (scenarios, a)
+  (scenarios, Campaign.Runner.run_exn ~config grid)
 
 (* Aggregate verdicts per (algorithm, strategy) in first-seen order —
    the classic sweep table, now derived from a campaign artifact. *)
@@ -882,102 +812,6 @@ let e15 () =
     \     the simulated tail is what degrades — satellite and heavy-tail \
      dominate p99.\n"
 
-(* ------------------------------------------------------------------ *)
-(* B1-B6: Bechamel timings                                              *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benches () =
-  header "B1-B6" "Bechamel micro-benchmarks of the harness itself";
-  let open Bechamel in
-  let flood_phase =
-    Test.make ~name:"B1 flood phase (C9)"
-      (Staged.stage (fun () ->
-           let g = B.cycle 9 in
-           let topo = Lbc_sim.Engine.topology_of_graph g in
-           let roles =
-             Array.init 9 (fun v ->
-                 Lbc_sim.Engine.Honest
-                   (Lbc_flood.Flood.proc
-                      (Lbc_flood.Flood.create g ~me:v ~vcompare:Bit.compare
-                         ~initiate:Bit.One ~default:Bit.default ())))
-           in
-           ignore
-             (Lbc_sim.Engine.run topo ~model:Lbc_sim.Engine.Local_broadcast
-                ~rounds:9 ~roles)))
-  in
-  let connectivity =
-    Test.make ~name:"B2 vertex connectivity (random n=24)"
-      (Staged.stage (fun () ->
-           ignore (D.connectivity (B.random_gnp ~seed:11 24 0.3))))
-  in
-  let disjoint =
-    Test.make ~name:"B3 disjoint paths (harary 6,24)"
-      (Staged.stage
-         (let g = B.harary 6 24 in
-          fun () -> ignore (D.disjoint_uv_paths g ~u:0 ~v:12)))
-  in
-  let a1 =
-    Test.make ~name:"B4 Algorithm 1 (cycle5 f=1)"
-      (Staged.stage
-         (let g = B.fig1a () in
-          let inputs = Array.make 5 Bit.One in
-          fun () ->
-            ignore
-              (A1.run ~g ~f:1 ~inputs ~faulty:(Nodeset.singleton 2) ())))
-  in
-  let a2 =
-    Test.make ~name:"B5 Algorithm 2 (C9 f=1)"
-      (Staged.stage
-         (let g = B.cycle 9 in
-          let inputs = Array.make 9 Bit.One in
-          fun () ->
-            ignore
-              (A2.run ~g ~f:1 ~inputs ~faulty:(Nodeset.singleton 4) ())))
-  in
-  let eig =
-    Test.make ~name:"B6 EIG baseline (K7 f=2)"
-      (Staged.stage
-         (let inputs = Array.make 7 Bit.One in
-          fun () ->
-            ignore
-              (EIG.run ~n:7 ~f:2 ~inputs ~faulty:(Nodeset.of_list [ 1; 4 ]) ())))
-  in
-  let tests =
-    Test.make_grouped ~name:"lbcast"
-      [ flood_phase; connectivity; disjoint; a1; a2; eig ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:100
-      ~quota:(Time.second (if quick then 0.25 else 1.0))
-      ~kde:None ()
-  in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        match Analyze.OLS.estimates res with
-        | Some (t :: _) -> (name, t) :: acc
-        | Some [] | None -> (name, nan) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Printf.printf "  %-44s %16s\n" "benchmark" "time/run";
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Printf.printf "  %-44s %16s\n" name pretty)
-    rows
-
 (* E17: the crash-survivable campaign core under its three stress axes —
    a straggler grid for the work-stealing scheduler, a kill/resume cycle
    for the verdict journal, and an overlapping re-run for the result
@@ -1069,150 +903,29 @@ let e17 () =
   Printf.printf "  %-40s %10d\n" "tasks stolen" steals;
   Printf.printf "  %-40s %10d\n" "journal records adopted on resume" recovered;
   Printf.printf "  %-40s %10d\n" "cache hits (warm re-run)" (info a_warm).Campaign.Artifact.hits;
-  Printf.printf "  %-40s %10d\n" "cache misses (cold run)" (info a_cold).Campaign.Artifact.misses;
-  current_counters :=
-    [
-      ("cache.hit", (info a_warm).Campaign.Artifact.hits);
-      ("cache.miss", (info a_cold).Campaign.Artifact.misses);
-      ("campaign.steal", steals);
-      ("journal.recovered_records", recovered);
-    ]
-
-(* E16: self-measurement — how long the whole-program lint pass takes
-   on the repo's own build tree. The deep pass is a CI gate, so its
-   cost is part of the contributor loop; tracking units/findings keeps
-   the trend visible as the tree grows. Needs the .cmt files a prior
-   `dune build @check` leaves behind; without them the experiment
-   reports 0 units and moves on rather than failing the harness. *)
-let lint_deep () =
-  header "E16" "lbclint --deep: whole-program pass over the build tree";
-  let module Deep = Lbc_lint.Deep in
-  let module Rules = Lbc_lint.Rules in
-  let t0 = Campaign.Clock.now_s () in
-  let r =
-    Deep.run
-      ~skip_components:[ "lint_fixtures"; "deep_fixtures" ]
-      ~build_dirs:[ "_build/default" ] ~source_root:"." ()
-  in
-  let wall = Campaign.Clock.now_s () -. t0 in
-  if r.Deep.units = 0 then
-    Printf.printf
-      "  no .cmt annotations found (run `dune build @check` first); skipped\n"
-  else begin
-    let count rule =
-      List.length
-        (List.filter (fun (f : Rules.finding) -> f.Rules.rule = rule) r.Deep.kept)
-    in
-    Printf.printf "  %-28s %8s\n" "metric" "value";
-    Printf.printf "  %-28s %8d\n" "units analyzed" r.Deep.units;
-    Printf.printf "  %-28s %8d\n" "load errors" (List.length r.Deep.errors);
-    List.iter
-      (fun rule ->
-        Printf.printf "  %-28s %8d\n"
-          ("findings " ^ Rules.id rule)
-          (count rule))
-      [ Rules.E1; Rules.E2; Rules.E3; Rules.E4; Rules.M1; Rules.X1 ];
-    Printf.printf "  %-28s %8d\n" "suppressed"
-      (List.length r.Deep.suppressed);
-    Printf.printf "  %-28s %7.0fms\n" "wall" (wall *. 1e3);
-    current_counters :=
-      [
-        ("lint.units", r.Deep.units);
-        ("lint.findings", List.length r.Deep.kept);
-        ("lint.suppressed", List.length r.Deep.suppressed);
-      ]
-  end
-
-(* E18: the incremental deep-lint cache's acceptance measurement — the
-   same whole-tree pass as E16, run twice through a fresh summary cache
-   (lib/lint/inc_cache). The cold run deserialises and walks every .cmt;
-   the warm run answers each unit from its content-addressed summary and
-   re-runs only the (cheap) whole-program rule passes. Findings must be
-   byte-identical across the two runs — the cache is invisible except in
-   wall-clock — and the cold/warm ratio is the number CI watches. *)
-let lint_cache () =
-  header "E18" "lbclint deep cache: cold vs warm over the build tree";
-  let module Deep = Lbc_lint.Deep in
-  let module Rules = Lbc_lint.Rules in
-  let dir =
-    let probe = Filename.temp_file "lbc_e18_cache" "" in
-    Sys.remove probe;
-    probe
-  in
-  let pass () =
-    let t0 = Campaign.Clock.now_s () in
-    let r =
-      Deep.run ~cache_dir:dir
-        ~skip_components:[ "lint_fixtures"; "deep_fixtures" ]
-        ~build_dirs:[ "_build/default" ] ~source_root:"." ()
-    in
-    (r, Campaign.Clock.now_s () -. t0)
-  in
-  let cold, cold_s = pass () in
-  if cold.Deep.units = 0 then
-    Printf.printf
-      "  no .cmt annotations found (run `dune build @check` first); skipped\n"
-  else begin
-    let warm, warm_s = pass () in
-    (try
-       Array.iter
-         (fun f -> Sys.remove (Filename.concat dir f))
-         (Sys.readdir dir);
-       Sys.rmdir dir
-     with Sys_error _ -> ());
-    if warm.Deep.kept <> cold.Deep.kept then
-      failwith "E18: warm findings diverge from cold run";
-    let count (r : Deep.result) rule =
-      List.length
-        (List.filter (fun (f : Rules.finding) -> f.Rules.rule = rule) r.Deep.kept)
-    in
-    Printf.printf "  %-36s %10s\n" "metric" "value";
-    Printf.printf "  %-36s %10d\n" "units analyzed" cold.Deep.units;
-    Printf.printf "  %-36s %10d\n" "cold misses (stored)" cold.Deep.cache_misses;
-    Printf.printf "  %-36s %10d\n" "warm hits" warm.Deep.cache_hits;
-    Printf.printf "  %-36s %10d\n" "warm misses" warm.Deep.cache_misses;
-    Printf.printf "  %-36s %9.0fms\n" "cold wall" (cold_s *. 1e3);
-    Printf.printf "  %-36s %9.0fms\n" "warm wall" (warm_s *. 1e3);
-    Printf.printf "  %-36s %9.2fx\n" "cold / warm"
-      (if warm_s > 0.0 then cold_s /. warm_s else 0.0);
-    Printf.printf "  %-36s %10s\n" "findings byte-identical" "true";
-    current_counters :=
-      [
-        ("lint.units", cold.Deep.units);
-        ("lint.cache_hit", warm.Deep.cache_hits);
-        ("lint.cache_miss", cold.Deep.cache_misses);
-        ("lint.e3", count cold Rules.E3);
-        ("lint.e4", count cold Rules.E4);
-        ("lint.cold_us", int_of_float (Float.round (cold_s *. 1e6)));
-        ("lint.warm_us", int_of_float (Float.round (warm_s *. 1e6)));
-      ]
-  end
+  Printf.printf "  %-40s %10d\n" "cache misses (cold run)" (info a_cold).Campaign.Artifact.misses
 
 let () =
   Printf.printf
     "lbcast experiment harness -- Khan, Naqvi, Vaidya (PODC 2019) \
      reproduction%s\n"
     (if quick then " [quick mode]" else "");
-  timed "e1" e1;
-  timed "e2" e2;
-  timed "e3" e3;
-  timed "e4" e4;
-  timed "e5" e5;
-  timed "e6" e6;
-  timed "e6b" e6b;
-  timed "e7" e7;
-  timed "e8" e8;
-  timed "e8b" e8b;
-  timed "e9" e9;
-  timed "e10" e10;
-  timed "e11" e11;
-  timed "e12" e12;
-  timed "e13" e13;
-  timed "e14" e14;
-  timed "e15" e15;
-  timed "e17" e17;
-  timed "lint_deep" lint_deep;
-  timed "lint_cache" lint_cache;
-  timed "bechamel" bechamel_benches;
-  write_bench_json "BENCH_10.json";
+  e1 ();
+  e2 ();
+  e3 ();
+  e4 ();
+  e5 ();
+  e6 ();
+  e6b ();
+  e7 ();
+  e8 ();
+  e8b ();
+  e9 ();
+  e10 ();
+  e11 ();
+  e12 ();
+  e13 ();
+  e14 ();
+  e15 ();
+  e17 ();
   Printf.printf "\nAll experiments complete.\n"

@@ -32,9 +32,11 @@
 #     the lbc-campaign/5 artifact must carry a simulated-time section
 #     and fingerprint identically on 1 and 4 domains;
 #   - a perf smoke: two identical E5 runs must fingerprint identically
-#     and show packing.cache_hit > 0 (the certificate cache engages),
-#     and a committed BENCH_10.json must parse as lbc-bench/1 and carry
-#     the E18 deep-lint cache counters;
+#     and show packing.cache_hit > 0 (the certificate cache engages);
+#   - the paper-experiment harness: `bench/main.exe --quick` must exit 0,
+#     print its completion line and write no file into its working
+#     directory (E17's kill/resume and cache identities run here), and
+#     an unknown argument must exit 2;
 #   - an output-identity gate on four lbcbench workloads: one pass each
 #     of cycle64-a2 and fig1b-a2 (Algorithm 2), cycle5-exhaustive
 #     (Algorithms 1 and 2 on the E1 grid) and durable-chaos (chaos,
@@ -363,25 +365,28 @@ for pin in cycle64-a2:1:1cbf1dce176da0d3 fig1b-a2:1:23bb21df5db4bfb5 \
   echo "$w seed $seed: verdict_digest $got"
 done
 
-echo "== bench results artifact =="
-# The committed BENCH_10.json (written by `dune exec bench/main.exe`)
-# must stay parseable lbc-bench/1 and carry the campaign-robustness
-# counters plus the E18 deep-lint cache measurement; stage it with the
-# other CI artifacts.
-if [ -f BENCH_10.json ]; then
-  grep -q '"format": *"lbc-bench/1"' BENCH_10.json \
-    || { echo "FAIL: BENCH_10.json is not lbc-bench/1"; exit 1; }
-  for counter in campaign.steal cache.hit cache.miss \
-      journal.recovered_records lint.units lint.cache_hit lint.cache_miss \
-      lint.e3 lint.e4 lint.cold_us lint.warm_us; do
-    grep -q "\"$counter\"" BENCH_10.json \
-      || { echo "FAIL: BENCH_10.json lacks the $counter counter"; exit 1; }
-  done
-  cp BENCH_10.json "$tmp/BENCH_10.json"
-  echo "BENCH_10.json staged"
-else
-  echo "note: BENCH_10.json absent (bench not yet run on this checkout)"
-fi
+echo "== paper-experiment harness (quick) =="
+# bench/main.exe --quick runs every paper experiment plus E17, whose
+# failwith checks (kill point fires, resumed = uninterrupted, warm cache
+# = cold) abort the run. It must exit 0, print its completion line and
+# leave no file behind in its working directory; an unknown argument
+# must be a usage error (exit 2), not a silent full run.
+harness="$PWD/_build/default/bench/main.exe"
+mkdir "$tmp/harness"
+(cd "$tmp/harness" && "$harness" --quick) \
+  > "$tmp/harness.txt" \
+  || { echo "FAIL: bench/main.exe --quick exited non-zero";
+       tail -20 "$tmp/harness.txt"; exit 1; }
+grep -q '^All experiments complete\.$' "$tmp/harness.txt" \
+  || { echo "FAIL: bench/main.exe --quick did not complete"; exit 1; }
+[ -z "$(ls -A "$tmp/harness")" ] \
+  || { echo "FAIL: bench/main.exe --quick left files behind:";
+       ls -A "$tmp/harness"; exit 1; }
+rc=0
+"$harness" --bogus > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "FAIL: bench/main.exe --bogus exited $rc, expected 2"; exit 1; }
+echo "harness OK: quick run complete, no files written, --bogus exits 2"
 
 echo "== legacy artifacts rejected =="
 for v in 1 2 3 4; do

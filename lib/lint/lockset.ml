@@ -37,7 +37,16 @@
    their own domain's cell; a leaked handle is what crosses domains).
 
    Both halves under-approximate through unresolved flow and say so;
-   what they do report comes with the two unsynchronized paths. *)
+   what they do report comes with the two unsynchronized paths.
+
+   Why E2 stays beside this pass: E3 only intersects accesses made from
+   inside R, so a spawn-reachable read of a ref whose only write lies
+   outside R (a [configure] called before or after the domains run) is
+   invisible here, while E2 reports the unguarded read
+   (deep_fixtures/lib/e2_readonly.ml: E2 fires, E3 is silent). Every
+   other E2 fixture co-fires with E3. The per-file D5 rule stays too: it
+   is the only domain-safety rule in [dune build @lint], which runs
+   without .cmt files. *)
 
 let lib_scope file = List.mem "lib" (String.split_on_char '/' file)
 

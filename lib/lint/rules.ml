@@ -65,7 +65,7 @@ let gating = function X1 -> false | _ -> true
    fix at the point of introduction; grandfathering them would let the
    byte-identity guarantee rot. D2/D4/D5 have pre-existing, individually
    justified sites, so they may ride in the checked-in baseline. The
-   deep rules (E1/E2/M1/X1) are whole-program approximations, so a
+   deep rules (E1-E4/M1/X1) are whole-program approximations, so a
    finding may legitimately outlive one PR while the flow it names is
    restructured — they are baselinable, though the repo's own baseline
    stays empty. *)

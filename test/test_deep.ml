@@ -74,6 +74,12 @@ let test_e2_fires () =
   check_str "unguarded spawn-reachable mutation" "E2:4;E3:4"
     (summarize (kept_in (fixture_file "e2_spawn.ml")))
 
+let test_e2_readonly () =
+  (* the case E3 does not cover: E3 intersects accesses from the
+     spawn-reachable region only, and the one write is outside it *)
+  check_str "spawn-reachable read, write outside the region" "E2:4"
+    (summarize (kept_in (fixture_file "e2_readonly.ml")))
+
 let test_e2_guarded_clean () =
   check_str "no kept" "" (summarize (kept_in (fixture_file "e2_guarded.ml")));
   check_str "no suppressed" ""
@@ -326,6 +332,8 @@ let () =
           Alcotest.test_case "Mutex.protect guards" `Quick
             test_e2_guarded_clean;
           Alcotest.test_case "inline suppression" `Quick test_e2_suppressed;
+          Alcotest.test_case "read-only spawned region (E3 silent)" `Quick
+            test_e2_readonly;
         ] );
       ( "e3",
         [
