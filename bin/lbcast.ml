@@ -2,14 +2,22 @@
    consensus library (Khan-Naqvi-Vaidya, PODC 2019 reproduction).
 
    Subcommands:
-     check    - evaluate the feasibility conditions of all three models
-     gen      - emit a built-in graph (edge list or Graphviz)
-     run      - simulate a consensus algorithm under an adversary
-     attack   - execute a necessity gadget (Lemma A.1 / A.2)
-     sweep    - print the hybrid equivocation trade-off tables
-     campaign - run a declarative scenario grid on a domain pool,
-                checkpointed and resumable, emitting a JSON artifact
-     report   - parse a campaign artifact, print its summary             *)
+     check     - evaluate the feasibility conditions of all three models
+     gen       - emit a built-in graph (edge list or Graphviz)
+     run       - simulate a consensus algorithm under an adversary: the
+                 flags describe one Lbc_campaign.Scenario, executed by
+                 Scenario.run, the executor campaigns use
+     attack    - execute a necessity gadget (Lemma A.1 / A.2, or the
+                 hybrid Lemma D.1 / D.2)
+     forensics - run Algorithm 2 and show each node's type (A/B) and the
+                 faulty nodes it identified
+     predict   - predict algorithm choice, round counts and message
+                 complexity
+     fuzz      - randomised falsification campaign
+     sweep     - print the hybrid equivocation trade-off tables
+     campaign  - run a declarative scenario grid on a domain pool,
+                 journaled and resumable, emitting a JSON artifact
+     report    - parse a campaign artifact, print its summary             *)
 
 module B = Lbc_graph.Builders
 module G = Lbc_graph.Graph
@@ -18,182 +26,44 @@ module Cond = Lbc_graph.Conditions
 module Nodeset = Lbc_graph.Nodeset
 module Bit = Lbc_consensus.Bit
 module Spec = Lbc_consensus.Spec
+module Solve = Lbc_consensus.Solve
 module A1 = Lbc_consensus.Algorithm1
 module A2 = Lbc_consensus.Algorithm2
 module A3 = Lbc_consensus.Algorithm3
-module EIG = Lbc_consensus.Baseline_eig
-module Relay = Lbc_consensus.Baseline_relay
 module S = Lbc_adversary.Strategy
 module Gadget = Lbc_lowerbound.Gadget
 module Perturb = Lbc_sim.Perturb
 module Engine = Lbc_sim.Engine
 module Net = Lbc_net.Net
+module Campaign = Lbc_campaign
+module Scenario = Lbc_campaign.Scenario
 
 (* ------------------------------------------------------------------ *)
 (* Parsers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let parse_graph spec =
-  let fail msg = Error (`Msg msg) in
-  let int s = int_of_string_opt s in
-  match String.split_on_char ':' spec with
-  | [ "fig1a" ] -> Ok (B.fig1a ())
-  | [ "fig1b" ] -> Ok (B.fig1b ())
-  | [ "petersen" ] -> Ok (B.petersen ())
-  | [ "cycle"; n ] | [ "ring"; n ] -> (
-      match int n with Some n -> Ok (B.cycle n) | None -> fail "bad n")
-  | [ "path"; n ] -> (
-      match int n with Some n -> Ok (B.path_graph n) | None -> fail "bad n")
-  | [ "complete"; n ] | [ "k"; n ] -> (
-      match int n with Some n -> Ok (B.complete n) | None -> fail "bad n")
-  | [ "star"; n ] -> (
-      match int n with Some n -> Ok (B.star n) | None -> fail "bad n")
-  | [ "wheel"; n ] -> (
-      match int n with Some n -> Ok (B.wheel n) | None -> fail "bad n")
-  | [ "hypercube"; d ] -> (
-      match int d with Some d -> Ok (B.hypercube d) | None -> fail "bad d")
-  | [ "tight"; f ] -> (
-      match int f with Some f -> Ok (B.tight f) | None -> fail "bad f")
-  | [ "torus"; wh ] | [ "grid"; wh ] -> (
-      match String.split_on_char 'x' wh with
-      | [ w; h ] -> (
-          match (int w, int h) with
-          | Some w, Some h ->
-              if String.length spec >= 5 && String.sub spec 0 5 = "torus" then
-                Ok (B.torus w h)
-              else Ok (B.grid w h)
-          | _ -> fail "bad dimensions")
-      | _ -> fail "expected WxH")
-  | [ "circulant"; n; jumps ] -> (
-      match int n with
-      | Some n -> (
-          let js =
-            String.split_on_char ',' jumps |> List.filter_map int_of_string_opt
-          in
-          match js with [] -> fail "bad jumps" | _ -> Ok (B.circulant n js))
-      | None -> fail "bad n")
-  | [ "harary"; k; n ] -> (
-      match (int k, int n) with
-      | Some k, Some n -> Ok (B.harary k n)
-      | _ -> fail "bad k/n")
-  | [ "gnp"; n; p; seed ] -> (
-      match (int n, float_of_string_opt p, int seed) with
-      | Some n, Some p, Some seed -> Ok (B.random_gnp ~seed n p)
-      | _ -> fail "bad gnp parameters")
-  | [ "file"; path ] -> (
-      match Lbc_graph.Graphio.of_file path with
-      | Ok g -> Ok g
-      | Error msg -> fail (path ^ ": " ^ msg))
-  | [ "edges"; n; es ] -> (
-      match int n with
-      | Some n -> (
-          try
-            let edges =
-              String.split_on_char ',' es
-              |> List.map (fun e ->
-                     match String.split_on_char '-' e with
-                     | [ u; v ] -> (int_of_string u, int_of_string v)
-                     | _ -> failwith "bad edge")
-            in
-            Ok (G.of_edges n edges)
-          with Failure _ | Invalid_argument _ -> fail "bad edge list")
-      | None -> fail "bad n")
-  | _ ->
-      fail
-        (spec
-       ^ ": unknown graph. Try fig1a, fig1b, petersen, cycle:N, path:N, \
-          complete:N, star:N, wheel:N, hypercube:D, tight:F, torus:WxH, \
-          grid:WxH, circulant:N:J1,J2, harary:K:N, gnp:N:P:SEED, \
-          edges:N:0-1,1-2,..., file:PATH")
+(* A graph spec is outside input: one its builder rejects is a usage
+   error (exit 2), never an uncaught exception. *)
+let graph_of_spec spec =
+  match B.of_spec spec with
+  | Ok g -> g
+  | Error msg ->
+      Printf.eprintf "lbcast: option '-g': %s\n" msg;
+      exit 2
 
-let graph_conv =
-  Cmdliner.Arg.conv (parse_graph, fun fmt g -> G.pp fmt g)
+let conv parse pp =
+  Cmdliner.Arg.conv
+    ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), pp)
 
-let parse_id_list s =
-  try
-    Some
-      (Nodeset.of_list (List.map int_of_string (String.split_on_char ',' s)))
-  with Failure _ -> None
-
-let parse_strategy s =
-  match String.split_on_char ':' s with
-  | [ "silent" ] -> Ok S.Silent
-  | [ "honest" ] -> Ok S.Honest_behavior
-  | [ "lie" ] -> Ok S.Lie
-  | [ "flip" ] | [ "flip-forwards" ] -> Ok S.Flip_forwards
-  | [ "equivocate" ] -> Ok S.Equivocate
-  | [ "crash"; r ] -> (
-      match int_of_string_opt r with
-      | Some r -> Ok (S.Crash_at r)
-      | None -> Error (`Msg "bad round"))
-  | [ "spurious"; k ] -> (
-      match int_of_string_opt k with
-      | Some k -> Ok (S.Spurious k)
-      | None -> Error (`Msg "bad count"))
-  | [ "noise"; k ] -> (
-      match int_of_string_opt k with
-      | Some k -> Ok (S.Noise k)
-      | None -> Error (`Msg "bad count"))
-  | [ "omit"; ids ] -> (
-      match parse_id_list ids with
-      | Some set -> Ok (S.Omit_from set)
-      | None -> Error (`Msg "bad node list"))
-  | [ "flip-from"; ids ] -> (
-      match parse_id_list ids with
-      | Some set -> Ok (S.Flip_from set)
-      | None -> Error (`Msg "bad node list"))
-  | [ "omit-sampled"; k ] -> (
-      match int_of_string_opt k with
-      | Some k -> Ok (S.Omit_sampled k)
-      | None -> Error (`Msg "bad salt"))
-  | _ ->
-      Error
-        (`Msg
-          (s
-         ^ ": unknown strategy (silent, honest, lie, flip, equivocate, \
-            crash:R, spurious:K, noise:K, omit:IDS, flip-from:IDS, \
-            omit-sampled:K)"))
-
-let strategy_conv = Cmdliner.Arg.conv (parse_strategy, S.pp_kind)
-
-let parse_nodeset s =
-  if s = "" then Ok Nodeset.empty
-  else
-    try
-      Ok
-        (Nodeset.of_list
-           (List.map int_of_string (String.split_on_char ',' s)))
-    with Failure _ -> Error (`Msg "expected comma-separated node ids")
-
-let nodeset_conv = Cmdliner.Arg.conv (parse_nodeset, Nodeset.pp)
-
-let parse_inputs s =
-  try
-    Ok
-      (Array.init (String.length s) (fun i ->
-           Bit.of_int (Char.code s.[i] - Char.code '0')))
-  with Invalid_argument _ ->
-    Error (`Msg "expected a 01-string, e.g. 01011")
+let strategy_conv = conv S.of_string S.pp_kind
+let nodeset_conv = conv Nodeset.of_csv Nodeset.pp
 
 let inputs_conv =
-  Cmdliner.Arg.conv
-    ( parse_inputs,
-      fun fmt a ->
-        Array.iter (fun b -> Format.pp_print_string fmt (Bit.to_string b)) a )
+  conv Bit.array_of_string (fun fmt a ->
+      Format.pp_print_string fmt (Bit.array_to_string a))
 
-let chaos_conv =
-  Cmdliner.Arg.conv
-    ( (fun s ->
-        match Perturb.parse s with
-        | Ok spec -> Ok spec
-        | Error m -> Error (`Msg m)),
-      Perturb.pp )
-
-let net_conv =
-  Cmdliner.Arg.conv
-    ( (fun s ->
-        match Net.parse s with Ok p -> Ok p | Error m -> Error (`Msg m)),
-      Net.pp )
+let chaos_conv = conv Perturb.parse Perturb.pp
+let net_conv = conv Net.parse Net.pp
 
 (* ------------------------------------------------------------------ *)
 (* check                                                                *)
@@ -248,60 +118,52 @@ let do_gen g dot =
 (* run                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let do_run g algo f t inputs faulty equivocators strategy seed chaos net
-    max_rounds stats trace =
+(* What one run or forensics invocation executes, beyond graph and
+   algorithm: both commands share these flags. *)
+type execution = {
+  inputs : Bit.t array option;
+  faulty : Nodeset.t;
+  strategy : S.kind;
+  seed : int;
+}
+
+(* Default inputs: faulty nodes get 1, the others 0. *)
+let inputs_for g x =
   let n = G.size g in
-  let inputs =
-    match inputs with
-    | Some a when Array.length a = n -> a
-    | Some _ ->
-        Printf.eprintf "inputs length must equal graph size %d\n" n;
-        exit 2
-    | None ->
-        Array.init n (fun v -> if Nodeset.mem v faulty then Bit.One else Bit.Zero)
+  match x.inputs with
+  | Some a when Array.length a = n -> a
+  | Some _ ->
+      Printf.eprintf "inputs length must equal graph size %d\n" n;
+      exit 2
+  | None -> Array.init n (fun v -> Bit.of_bool (Nodeset.mem v x.faulty))
+
+let resolve_algo g ~f ~t = function
+  | "auto" -> (
+      match Solve.choose ~g ~f with
+      | Ok Solve.Efficient -> (Scenario.A2, Some Solve.Efficient)
+      | Ok Solve.Exponential -> (Scenario.A1, Some Solve.Exponential)
+      | Error verdict ->
+          Printf.eprintf "graph infeasible for f=%d: %s\n" f
+            (Format.asprintf "%a" Cond.pp_verdict verdict);
+          exit 3)
+  | name -> (
+      match Scenario.algo_of_name ~t name with
+      | Ok algo -> (algo, None)
+      | Error msg ->
+          Printf.eprintf "%s\n" msg;
+          exit 2)
+
+let do_run spec algo f t x equivocators chaos net max_rounds stats trace =
+  let g = graph_of_spec spec in
+  let inputs = inputs_for g x in
+  let algo, selected = resolve_algo g ~f ~t algo in
+  let scenario =
+    Scenario.make ~gname:spec
+      ~build:(fun () -> g)
+      ~algo ~f ~faulty:x.faulty ~equivocators ~strategy:x.strategy ~inputs
+      ?chaos ?net ()
   in
-  let strat _ = strategy in
-  let execute () =
-    match algo with
-    | "auto" -> (
-        match
-          Lbc_consensus.Solve.run ~g ~f ~inputs ~faulty ~strategy:strat ~seed
-            ()
-        with
-        | Ok (choice, o) ->
-            Printf.printf "selected: %s\n"
-              (Format.asprintf "%a" Lbc_consensus.Solve.pp_choice choice);
-            o
-        | Error verdict ->
-            Printf.eprintf "graph infeasible for f=%d: %s\n" f
-              (Format.asprintf "%a" Cond.pp_verdict verdict);
-            exit 3)
-    | "a1" -> A1.run ~g ~f ~inputs ~faulty ~strategy:strat ~seed ()
-    | "a2" -> A2.run ~g ~f ~inputs ~faulty ~strategy:strat ~seed ()
-    | "a3" ->
-        A3.run ~g ~f ~t ~inputs ~faulty ~equivocators ~strategy:strat ~seed ()
-    | "eig" -> EIG.run ~n ~f ~inputs ~faulty ~attack:(EIG.Equivocate seed) ()
-    | "relay" -> Relay.run ~g ~f ~inputs ~faulty ~strategy:strat ~seed ()
-    | other ->
-        Printf.eprintf "unknown algorithm %s (auto, a1, a2, a3, eig, relay)\n"
-          other;
-        exit 2
-  in
-  let execute () =
-    let perturbed () =
-      match chaos with
-      | None -> execute ()
-      | Some spec -> Perturb.with_chaos spec ~seed execute
-    in
-    let networked () =
-      match net with
-      | None -> (perturbed (), 0)
-      | Some p -> Net.with_net p ~seed perturbed
-    in
-    match max_rounds with
-    | None -> networked ()
-    | Some budget -> Engine.with_fuel ~budget networked
-  in
+  let execute () = Scenario.run ?max_rounds scenario ~seed:x.seed in
   (* Observability is opt-in: without --stats/--trace no recorder is
      installed and the instrumentation stays on its zero-cost path. *)
   let observe = stats || trace <> None in
@@ -312,18 +174,32 @@ let do_run g algo f t inputs faulty equivocators strategy seed chaos net
       else
         ( execute (),
           { Lbc_obs.Obs.counters = []; stats = []; events = [] } )
-    with Engine.Fuel_exhausted { budget } ->
-      Printf.eprintf "run exceeded the %d-round budget (--max-rounds)\n" budget;
-      exit 4
+    with
+    | Engine.Fuel_exhausted { budget } ->
+        Printf.eprintf "run exceeded the %d-round budget (--max-rounds)\n"
+          budget;
+        exit 4
+    | Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 2
+    | exn ->
+        (* A campaign records this as a Crashed verdict; its repro line
+           must reproduce it as a crash, not as an internal error. *)
+        Printf.eprintf "crashed: %s\n" (Printexc.to_string exn);
+        exit 5
   in
+  Option.iter
+    (fun choice ->
+      Printf.printf "selected: %s\n"
+        (Format.asprintf "%a" Solve.pp_choice choice))
+    selected;
   (match chaos with
   | Some spec when not (Perturb.is_zero spec) ->
       Printf.printf "chaos    : %s\n" (Perturb.to_string spec)
   | _ -> ());
-  Printf.printf "inputs   : %s\n"
-    (String.concat "" (Array.to_list (Array.map Bit.to_string inputs)));
-  Printf.printf "faulty   : %s (strategy %s)\n" (Nodeset.to_string faulty)
-    (Format.asprintf "%a" S.pp_kind strategy);
+  Printf.printf "inputs   : %s\n" (Bit.array_to_string inputs);
+  Printf.printf "faulty   : %s (strategy %s)\n" (Nodeset.to_string x.faulty)
+    (Format.asprintf "%a" S.pp_kind x.strategy);
   Array.iteri
     (fun v out ->
       match out with
@@ -388,8 +264,9 @@ let do_attack g lemma f t =
   let rounds =
     if hybrid then A3.phases ~g ~f ~t * G.size g else A1.rounds ~g ~f
   in
-  Printf.printf "running Algorithm 1 on the doubled network (%d nodes, %d \
+  Printf.printf "running Algorithm %d on the doubled network (%d nodes, %d \
                  rounds)...\n"
+    (if hybrid then 3 else 1)
     (Gadget.network_size gadget)
     rounds;
   let v = Gadget.run gadget ~proc ~rounds in
@@ -442,27 +319,16 @@ let do_predict g f =
 (* forensics                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let do_forensics g f inputs faulty strategy seed =
-  let n = G.size g in
-  let inputs =
-    match inputs with
-    | Some a when Array.length a = n -> a
-    | Some _ ->
-        Printf.eprintf "inputs length must equal graph size %d\n" n;
-        exit 2
-    | None ->
-        Array.init n (fun v ->
-            if Nodeset.mem v faulty then Bit.One else Bit.Zero)
-  in
+let do_forensics g f x =
   let o, reports =
-    A2.run_detailed ~g ~f ~inputs ~faulty
-      ~strategy:(fun _ -> strategy)
-      ~seed ()
+    A2.run_detailed ~g ~f ~inputs:(inputs_for g x) ~faulty:x.faulty
+      ~strategy:(fun _ -> x.strategy)
+      ~seed:x.seed ()
   in
   Printf.printf
     "Algorithm 2 fault forensics (f=%d, faulty=%s, strategy %s):\n" f
-    (Nodeset.to_string faulty)
-    (Format.asprintf "%a" S.pp_kind strategy);
+    (Nodeset.to_string x.faulty)
+    (Format.asprintf "%a" S.pp_kind x.strategy);
   Array.iteri
     (fun v rep ->
       match rep with
@@ -501,16 +367,8 @@ let do_fuzz g algo f t runs seed =
 (* campaign / report                                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Campaign = Lbc_campaign
-
 let custom_grid spec f algo =
-  let build () =
-    match parse_graph spec with
-    | Ok g -> g
-    | Error (`Msg m) ->
-        Printf.eprintf "%s\n" m;
-        exit 2
-  in
+  ignore (graph_of_spec spec);
   let algos =
     match algo with
     | "a1" -> [ Campaign.Scenario.A1 ]
@@ -521,7 +379,7 @@ let custom_grid spec f algo =
         exit 2
   in
   Campaign.Grid.product ~name:"custom"
-    ~graphs:[ (spec, f, build) ]
+    ~graphs:[ (spec, f) ]
     ~algos ~placements:Campaign.Grid.placements_up_to_f
     ~strategies:S.kinds_lbc ~inputs:Campaign.Grid.unanimous_inputs ()
 
@@ -795,11 +653,13 @@ let do_sweep fmax =
 
 open Cmdliner
 
-let graph_arg =
+let graph_spec_arg =
   Arg.(
     required
-    & opt (some graph_conv) None
+    & opt (some string) None
     & info [ "g"; "graph" ] ~docv:"GRAPH" ~doc:"Graph specification.")
+
+let graph_arg = Term.(const graph_of_spec $ graph_spec_arg)
 
 let f_arg =
   Arg.(value & opt int 1 & info [ "f" ] ~docv:"F" ~doc:"Fault budget.")
@@ -823,13 +683,7 @@ let gen_cmd =
     (Cmd.info "gen" ~doc:"Emit a built-in graph.")
     Term.(const do_gen $ graph_arg $ dot)
 
-let run_cmd =
-  let algo =
-    Arg.(
-      value & opt string "a1"
-      & info [ "algo"; "a" ] ~docv:"ALGO"
-          ~doc:"Algorithm: a1, a2, a3, eig, relay.")
-  in
+let execution_term =
   let inputs =
     Arg.(
       value
@@ -843,13 +697,6 @@ let run_cmd =
       & opt nodeset_conv Nodeset.empty
       & info [ "faulty" ] ~docv:"IDS" ~doc:"Comma-separated faulty node ids.")
   in
-  let equivocators =
-    Arg.(
-      value
-      & opt nodeset_conv Nodeset.empty
-      & info [ "equivocators" ] ~docv:"IDS"
-          ~doc:"Subset of the faulty nodes allowed to equivocate (a3).")
-  in
   let strategy =
     Arg.(
       value
@@ -859,38 +706,67 @@ let run_cmd =
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
   in
-  let chaos =
+  Term.(
+    const (fun inputs faulty strategy seed ->
+        { inputs; faulty; strategy; seed })
+    $ inputs $ faulty $ strategy $ seed)
+
+let chaos_arg =
+  Arg.(
+    value
+    & opt (some chaos_conv) None
+    & info [ "chaos" ] ~docv:"SPEC"
+        ~doc:
+          "Environment perturbation: a comma-separated key=value list with \
+           keys drop, dup, delay, delay-p, crash, crash-len (e.g. \
+           drop=0.1,delay=2,delay-p=0.25); 'none' disables. Deterministic \
+           given the seed. A campaign installs it on every scenario of the \
+           grid, overriding any per-scenario spec.")
+
+let net_arg =
+  Arg.(
+    value
+    & opt (some net_conv) None
+    & info [ "net" ] ~docv:"PROFILE"
+        ~doc:
+          (Printf.sprintf
+             "Network latency profile (%s, or const:NS): every delivery is \
+              assigned a sampled link latency, and the run reports its \
+              simulated wall-time alongside round counts. Deterministic \
+              given the seed; composes with $(b,--chaos). A campaign \
+              installs it on every scenario of the grid, overriding any \
+              per-scenario profile; verdicts then carry simulated wall-time \
+              and the artifact a per-family sim-time section, both in the \
+              deterministic portion."
+             (String.concat ", " Net.names)))
+
+let max_rounds_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "max-rounds" ] ~docv:"N"
+        ~doc:
+          "Engine-round budget per execution (catches livelock under \
+           $(b,--chaos)). $(b,run) aborts with exit code 4 once the engine \
+           has executed N rounds; a campaign scenario that exhausts it gets \
+           a timeout verdict instead of hanging its worker domain.")
+
+let run_cmd =
+  let algo =
     Arg.(
-      value
-      & opt (some chaos_conv) None
-      & info [ "chaos" ] ~docv:"SPEC"
+      value & opt string "a1"
+      & info [ "algo"; "a" ] ~docv:"ALGO"
           ~doc:
-            "Environment perturbation around the run: a comma-separated \
-             key=value list with keys drop, dup, delay, delay-p, crash, \
-             crash-len (e.g. drop=0.1,delay=2,delay-p=0.25). Deterministic \
-             given --seed; 'none' disables.")
+            "Algorithm: a1, a2, a3, eig, relay, or auto (a2 when the graph \
+             is 2f-connected, else a1 when it meets the condition, else \
+             exit 3).")
   in
-  let net =
+  let equivocators =
     Arg.(
       value
-      & opt (some net_conv) None
-      & info [ "net" ] ~docv:"PROFILE"
-          ~doc:
-            (Printf.sprintf
-               "Network latency profile (%s, or const:NS): every delivery is \
-                assigned a sampled link latency and the run reports its \
-                simulated wall-time alongside round counts. Deterministic \
-                given --seed; composes with --chaos."
-               (String.concat ", " Net.names)))
-  in
-  let max_rounds =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-rounds" ] ~docv:"N"
-          ~doc:
-            "Round budget: abort with exit code 4 once the engine has \
-             executed N rounds (catches livelock under --chaos).")
+      & opt nodeset_conv Nodeset.empty
+      & info [ "equivocators" ] ~docv:"IDS"
+          ~doc:"Subset of the faulty nodes allowed to equivocate (a3).")
   in
   let stats =
     Arg.(
@@ -910,18 +786,37 @@ let run_cmd =
             "Write per-round trace events (transmissions/deliveries per \
              engine round) to FILE, one event per line.")
   in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"the run did not reach consensus."
+    :: Cmd.Exit.info 2
+         ~doc:
+           "a usage error: a bad graph spec, algorithm, input length or \
+            node id."
+    :: Cmd.Exit.info 3 ~doc:"$(b,--algo auto) on an infeasible graph."
+    :: Cmd.Exit.info 4 ~doc:"the $(b,--max-rounds) budget ran out."
+    :: Cmd.Exit.info 5
+         ~doc:
+           "the execution crashed (e.g. a model violation): $(i,crashed: \
+            EXN) on stderr, as a campaign records a crashed verdict."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "run" ~doc:"Simulate a consensus algorithm under an adversary.")
+    (Cmd.info "run" ~exits
+       ~doc:"Simulate a consensus algorithm under an adversary.")
     Term.(
-      const do_run $ graph_arg $ algo $ f_arg $ t_arg $ inputs $ faulty
-      $ equivocators $ strategy $ seed $ chaos $ net $ max_rounds $ stats
-      $ trace)
+      const do_run $ graph_spec_arg $ algo $ f_arg $ t_arg $ execution_term
+      $ equivocators $ chaos_arg $ net_arg $ max_rounds_arg $ stats $ trace)
 
 let attack_cmd =
   let lemma =
     Arg.(
       value & opt string "connectivity"
-      & info [ "lemma" ] ~docv:"LEMMA" ~doc:"degree or connectivity.")
+      & info [ "lemma" ] ~docv:"LEMMA"
+          ~doc:
+            "degree (Lemma A.1), connectivity (Lemma A.2), \
+             hybrid-neighborhood (Lemma D.1) or hybrid-connectivity \
+             (Lemma D.2). With $(b,-t) > 0 the gadget runs Algorithm 3, \
+             otherwise Algorithm 1.")
   in
   Cmd.v
     (Cmd.info "attack"
@@ -937,36 +832,12 @@ let predict_cmd =
     Term.(const do_predict $ graph_arg $ f_arg)
 
 let forensics_cmd =
-  let inputs =
-    Arg.(
-      value
-      & opt (some inputs_conv) None
-      & info [ "inputs"; "i" ] ~docv:"BITS"
-          ~doc:"Input assignment as a 01-string.")
-  in
-  let faulty =
-    Arg.(
-      value
-      & opt nodeset_conv Nodeset.empty
-      & info [ "faulty" ] ~docv:"IDS" ~doc:"Comma-separated faulty node ids.")
-  in
-  let strategy =
-    Arg.(
-      value
-      & opt strategy_conv S.Flip_forwards
-      & info [ "strategy"; "s" ] ~docv:"STRAT" ~doc:"Adversarial strategy.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
-  in
   Cmd.v
     (Cmd.info "forensics"
        ~doc:
          "Run Algorithm 2 and show, per node, its type (A/B) and the \
           faulty nodes it identified.")
-    Term.(
-      const do_forensics $ graph_arg $ f_arg $ inputs $ faulty $ strategy
-      $ seed)
+    Term.(const do_forensics $ graph_arg $ f_arg $ execution_term)
 
 let fuzz_cmd =
   let algo =
@@ -1059,39 +930,6 @@ let campaign_cmd =
             "Stop after completing N new scenarios, leaving the journal for \
              a later resume.")
   in
-  let chaos =
-    Arg.(
-      value
-      & opt (some chaos_conv) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:
-            "Install this environment perturbation (see $(b,run --chaos)) \
-             on every scenario of the grid, overriding any per-scenario \
-             spec. The determinism contract still holds: perturbation is \
-             seeded per scenario.")
-  in
-  let net =
-    Arg.(
-      value
-      & opt (some net_conv) None
-      & info [ "net" ] ~docv:"PROFILE"
-          ~doc:
-            "Install this network latency profile (see $(b,run --net)) on \
-             every scenario of the grid, overriding any per-scenario \
-             profile. Verdicts then carry per-scenario simulated wall-time \
-             and the artifact a per-family sim-time section — both in the \
-             deterministic portion.")
-  in
-  let max_rounds =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-rounds" ] ~docv:"N"
-          ~doc:
-            "Per-scenario engine-round budget; an execution that exhausts \
-             it gets a timeout verdict instead of hanging its worker \
-             domain.")
-  in
   let deadline =
     Arg.(
       value
@@ -1160,7 +998,8 @@ let campaign_cmd =
           versioned JSON results artifact.")
     Term.(
       const do_campaign $ exp $ gspec $ algo $ f_arg $ quick $ domains $ seed
-      $ out $ max_scenarios $ chaos $ net $ max_rounds $ deadline $ retries
+      $ out $ max_scenarios $ chaos_arg $ net_arg $ max_rounds_arg $ deadline
+      $ retries
       $ strict $ cache $ no_cache $ kill_after)
 
 let report_cmd =

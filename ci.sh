@@ -26,6 +26,8 @@
 #     COMPLETE (contained CRASHED / TIMEOUT verdicts, exit 1 because
 #     failures are present), with fingerprints identical across domain
 #     counts even under perturbation;
+#   - the chaos-smoke crashed verdict's repro line, run as printed, must
+#     exit 5 with "crashed: ...Model_violation..." on stderr;
 #   - a perturbed single run whose --stats output must show perturb.*
 #     counters, and a --max-rounds exhaustion that must exit 4;
 #   - an E15 smoke grid under the wan network profile with drop chaos:
@@ -282,6 +284,27 @@ grep -q 'TIMEOUT' "$tmp/chaos_report.txt" \
   || { echo "FAIL: chaos-smoke report shows no TIMEOUT verdict"; exit 1; }
 grep -q 'perturb.dropped' "$tmp/chaos_report.txt" \
   || { echo "FAIL: chaos-smoke stats show no perturb counters"; exit 1; }
+
+echo "== crash repro line reproduces the crash =="
+# The crashed verdict's repro line, run as printed, must replay the same
+# execution: the Model_violation again, reported as a crash (exit 5 and
+# "crashed: <exn>" on stderr), not as an internal error.
+repro=$(grep -o '"repro":"lbcast run [^"]*"' "$tmp/chaos2.json" \
+  | sed 's/^"repro":"lbcast //; s/"$//')
+[ -n "$repro" ] \
+  || { echo "FAIL: chaos-smoke artifact has no crashed verdict repro"; exit 1; }
+set +e
+# shellcheck disable=SC2086 # the repro line is split into its words
+dune exec bin/lbcast.exe -- $repro > /dev/null 2> "$tmp/repro.err"
+repro_rc=$?
+set -e
+[ "$repro_rc" -eq 5 ] \
+  || { echo "FAIL: crash repro exited $repro_rc, want 5";
+       cat "$tmp/repro.err"; exit 1; }
+grep -q '^crashed: .*Model_violation' "$tmp/repro.err" \
+  || { echo "FAIL: crash repro stderr lacks Model_violation";
+       cat "$tmp/repro.err"; exit 1; }
+echo "crash repro OK: lbcast $repro exits 5"
 
 echo "== chaos fingerprint identical across domain counts =="
 set +e

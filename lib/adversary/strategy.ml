@@ -51,6 +51,45 @@ let pp_kind fmt = function
   | Noise k -> Format.fprintf fmt "noise-%d" k
   | Equivocate -> Format.pp_print_string fmt "equivocate"
 
+let to_string = function
+  | Honest_behavior -> "honest"
+  | Silent -> "silent"
+  | Crash_at r -> Printf.sprintf "crash:%d" r
+  | Lie -> "lie"
+  | Flip_forwards -> "flip"
+  | Flip_from ids -> "flip-from:" ^ Nodeset.to_csv ids
+  | Omit_from ids -> "omit:" ^ Nodeset.to_csv ids
+  | Omit_sampled k -> Printf.sprintf "omit-sampled:%d" k
+  | Spurious k -> Printf.sprintf "spurious:%d" k
+  | Noise k -> Printf.sprintf "noise:%d" k
+  | Equivocate -> "equivocate"
+
+let of_string s =
+  let int what k arg =
+    match int_of_string_opt arg with
+    | Some v -> Ok (k v)
+    | None -> Error (Printf.sprintf "%s: bad %s" s what)
+  in
+  let ids k arg = Result.map k (Nodeset.of_csv arg) in
+  match String.split_on_char ':' s with
+  | [ "silent" ] -> Ok Silent
+  | [ "honest" ] -> Ok Honest_behavior
+  | [ "lie" ] -> Ok Lie
+  | [ "flip" ] | [ "flip-forwards" ] -> Ok Flip_forwards
+  | [ "equivocate" ] -> Ok Equivocate
+  | [ "crash"; r ] -> int "round" (fun r -> Crash_at r) r
+  | [ "spurious"; k ] -> int "count" (fun k -> Spurious k) k
+  | [ "noise"; k ] -> int "count" (fun k -> Noise k) k
+  | [ "omit-sampled"; k ] -> int "salt" (fun k -> Omit_sampled k) k
+  | [ "omit"; l ] -> ids (fun set -> Omit_from set) l
+  | [ "flip-from"; l ] -> ids (fun set -> Flip_from set) l
+  | _ ->
+      Error
+        (s
+       ^ ": unknown strategy (silent, honest, lie, flip, equivocate, \
+          crash:R, spurious:K, noise:K, omit:IDS, flip-from:IDS, \
+          omit-sampled:K)")
+
 (* Honest flooding with hooks: [alive round] gates any transmission;
    [rewrite] edits (or drops, returning [None]) each outgoing wire
    message. *)

@@ -51,6 +51,14 @@ val kinds_hybrid : kind list
 (** [kinds_lbc] plus {!Equivocate}. *)
 
 val pp_kind : Format.formatter -> kind -> unit
+(** Human rendering, as in scenario ids: ["flip-forwards"],
+    ["omit-from-{2, 3}"]. Not parseable back; see {!to_string}. *)
+
+val to_string : kind -> string
+(** The CLI's [-s] spelling: ["flip"], ["crash:2"], ["omit:2,3"], ... *)
+
+val of_string : string -> (kind, string) result
+(** Inverse of {!to_string}; also accepts ["flip-forwards"]. *)
 
 val fstep :
   kind ->

@@ -34,7 +34,12 @@ let product ?(net = [ None ]) ?(chaos = [ None ]) ~name ~graphs ~algos
     ~placements ~strategies ~inputs () =
   let scenarios =
     Seq.concat_map
-      (fun (gname, f, build) ->
+      (fun (gname, f) ->
+        let build () =
+          match Lbc_graph.Builders.of_spec gname with
+          | Ok g -> g
+          | Error msg -> invalid_arg ("Grid.product: " ^ msg)
+        in
         (* One instance to drive enumeration; executions build afresh. *)
         let g = build () in
         Seq.concat_map

@@ -39,7 +39,7 @@ val product :
   ?net:Lbc_net.Net.profile option list ->
   ?chaos:Lbc_sim.Perturb.spec option list ->
   name:string ->
-  graphs:(string * int * (unit -> Lbc_graph.Graph.t)) list ->
+  graphs:(string * int) list ->
   algos:Scenario.algo list ->
   placements:(Lbc_graph.Graph.t -> f:int -> Lbc_graph.Nodeset.t list) ->
   strategies:Lbc_adversary.Strategy.kind list ->
@@ -49,7 +49,9 @@ val product :
     Lbc_consensus.Bit.t array list) ->
   unit ->
   t
-(** [product] enumerates graphs (each [(spec, f, build)]) × algorithms ×
+(** [product] enumerates graphs (each [(spec, f)]: a
+    {!Lbc_graph.Builders.of_spec} spec, which is both the scenario's
+    [gname] and the source of its graph, and a fault budget) × algorithms ×
     fault placements × strategies × input vectors × net profiles × chaos
     points, in exactly that nesting order (chaos varies fastest, then
     net, then inputs). [chaos] and [net] default to [[None]] — one
@@ -57,7 +59,9 @@ val product :
     enumeration (and so every existing grid fingerprint) unchanged.
     [placements] and [inputs] are evaluated against a graph instance
     built once at enumeration time; executions build their own
-    instances. *)
+    instances.
+    @raise Invalid_argument on enumerating a graph whose spec
+    {!Lbc_graph.Builders.of_spec} rejects. *)
 
 val with_chaos : Lbc_sim.Perturb.spec -> t -> t
 (** Install one perturbation spec on every scenario of a grid (the

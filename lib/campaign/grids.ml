@@ -15,14 +15,14 @@ let e1 ?(inputs = `All) ?(quick = false) () =
     | `Unanimous -> Grid.unanimous_inputs
   in
   Grid.product ~name:"e1"
-    ~graphs:[ ("fig1a", 1, B.fig1a) ]
+    ~graphs:[ ("fig1a", 1) ]
     ~algos:[ Scenario.A1; Scenario.A2 ]
     ~placements:Grid.singleton_placements ~strategies ~inputs ()
 
 let e2 ?(quick = false) () =
   let representative =
     Grid.product ~name:"e2-representative"
-      ~graphs:[ ("fig1b", 2, B.fig1b) ]
+      ~graphs:[ ("fig1b", 2) ]
       ~algos:[ Scenario.A1; Scenario.A2 ]
       ~placements:(fun _ ~f:_ ->
         List.map Nodeset.of_list
@@ -34,7 +34,7 @@ let e2 ?(quick = false) () =
   else
     let exhaustive =
       Grid.product ~name:"e2-exhaustive"
-        ~graphs:[ ("fig1b", 2, B.fig1b) ]
+        ~graphs:[ ("fig1b", 2) ]
         ~algos:[ Scenario.A2 ]
         ~placements:(Grid.placements_of_size 2)
         ~strategies:
@@ -50,10 +50,7 @@ let default_e5_sizes = [ 5; 7; 9; 11; 13; 15; 17 ]
 
 let e5 ?(sizes = default_e5_sizes) () =
   Grid.product ~name:"e5"
-    ~graphs:
-      (List.map
-         (fun n -> (Printf.sprintf "cycle:%d" n, 1, fun () -> B.cycle n))
-         sizes)
+    ~graphs:(List.map (fun n -> (Printf.sprintf "cycle:%d" n, 1)) sizes)
     ~algos:[ Scenario.A2 ]
     ~placements:(fun g ~f:_ -> [ Nodeset.singleton (G.size g / 2) ])
     ~strategies:[ S.Flip_forwards ]
@@ -67,9 +64,7 @@ let e5 ?(sizes = default_e5_sizes) () =
 let e8 ?(quick = false) () =
   let fig1 =
     Grid.product ~name:"e8-fig1"
-      ~graphs:
-        (("fig1a", 1, B.fig1a)
-        :: (if quick then [] else [ ("fig1b", 2, B.fig1b) ]))
+      ~graphs:(("fig1a", 1) :: (if quick then [] else [ ("fig1b", 2) ]))
       ~algos:[ Scenario.A1; Scenario.A2 ]
       ~placements:(fun g ~f ->
         [ (if G.size g = 5 then Nodeset.singleton 2
@@ -83,12 +78,12 @@ let e8 ?(quick = false) () =
       Grid.append ~name:"e8-baselines"
         [
           Grid.product ~name:"relay"
-            ~graphs:[ ("wheel:7", 1, fun () -> B.wheel 7) ]
+            ~graphs:[ ("wheel:7", 1) ]
             ~algos:[ Scenario.Relay ]
             ~placements:(fun _ ~f:_ -> [ Nodeset.singleton 3 ])
             ~strategies:[ S.Equivocate ] ~inputs:all_one ();
           Grid.product ~name:"eig"
-            ~graphs:[ ("complete:7", 2, fun () -> B.complete 7) ]
+            ~graphs:[ ("complete:7", 2) ]
             ~algos:[ Scenario.Eig ]
             ~placements:(fun _ ~f:_ -> [ Nodeset.of_list [ 1; 4 ] ])
             ~strategies:[ S.Lie ] ~inputs:all_one ();
@@ -105,7 +100,7 @@ let smoke () = { (e1 ~inputs:`Unanimous ()) with Grid.name = "smoke" }
 let n100 () =
   let n = 100 in
   Grid.product ~name:"n100"
-    ~graphs:[ (Printf.sprintf "cycle:%d" n, 1, fun () -> B.cycle n) ]
+    ~graphs:[ (Printf.sprintf "cycle:%d" n, 1) ]
     ~algos:[ Scenario.A2 ]
     ~placements:(fun _ ~f:_ -> [ Nodeset.singleton (n / 2) ])
     ~strategies:[ S.Flip_forwards ]
@@ -128,7 +123,7 @@ let degradation_points =
 let edeg () =
   Grid.product ~name:"edeg"
     ~chaos:(None :: Grid.chaos_points degradation_points)
-    ~graphs:[ ("cycle:7", 1, fun () -> B.cycle 7) ]
+    ~graphs:[ ("cycle:7", 1) ]
     ~algos:[ Scenario.A1; Scenario.A2 ]
     ~placements:(fun _ ~f:_ -> [ Nodeset.singleton 3 ])
     ~strategies:[ S.Honest_behavior; S.Flip_forwards ]
@@ -144,7 +139,7 @@ let chaos_smoke () =
   let perturbed =
     Grid.product ~name:"chaos-drop"
       ~chaos:[ Some drop ]
-      ~graphs:[ ("cycle:5", 1, fun () -> B.cycle 5) ]
+      ~graphs:[ ("cycle:5", 1) ]
       ~algos:[ Scenario.A1; Scenario.A2 ]
       ~placements:(fun _ ~f:_ -> [ Nodeset.singleton 2 ])
       ~strategies:[ S.Flip_forwards ]
@@ -152,14 +147,14 @@ let chaos_smoke () =
   in
   let crashing =
     Grid.product ~name:"chaos-crashing"
-      ~graphs:[ ("cycle:5", 1, fun () -> B.cycle 5) ]
+      ~graphs:[ ("cycle:5", 1) ]
       ~algos:[ Scenario.A1 ]
       ~placements:(fun _ ~f:_ -> [ Nodeset.singleton 2 ])
       ~strategies:[ S.Equivocate ] ~inputs:all_one ()
   in
   let slow =
     Grid.product ~name:"chaos-slow"
-      ~graphs:[ ("petersen", 1, B.petersen) ]
+      ~graphs:[ ("petersen", 1) ]
       ~algos:[ Scenario.A1 ]
       ~placements:(fun _ ~f:_ -> [ Nodeset.singleton 3 ])
       ~strategies:[ S.Flip_forwards ] ~inputs:all_one ()
@@ -188,7 +183,7 @@ let e15 ?(quick = false) () =
   Grid.product ~name:"e15"
     ~net:(None :: Grid.net_points profiles)
     ~chaos
-    ~graphs:[ ("cycle:7", 1, fun () -> B.cycle 7) ]
+    ~graphs:[ ("cycle:7", 1) ]
     ~algos:[ Scenario.A1; Scenario.A2 ]
     ~placements:(fun _ ~f:_ -> [ Nodeset.singleton 3 ])
     ~strategies:[ S.Flip_forwards ]

@@ -16,6 +16,14 @@ let algo_name = function
   | Relay -> "relay"
   | Eig -> "eig"
 
+let algo_of_name ~t = function
+  | "a1" -> Ok A1
+  | "a2" -> Ok A2
+  | "a3" -> Ok (A3 t)
+  | "relay" -> Ok Relay
+  | "eig" -> Ok Eig
+  | other -> Error ("unknown algorithm " ^ other ^ " (a1, a2, a3, eig, relay)")
+
 type t = {
   gname : string;
   build : unit -> G.t;
@@ -33,14 +41,7 @@ let make ~gname ~build ~algo ~f ~faulty ?(equivocators = Nodeset.empty)
     ~strategy ~inputs ?chaos ?net () =
   { gname; build; algo; f; faulty; equivocators; strategy; inputs; chaos; net }
 
-let ids_string s =
-  if Nodeset.is_empty s then "-"
-  else
-    String.concat ","
-      (List.map string_of_int (Nodeset.elements s))
-
-let inputs_string inputs =
-  String.concat "" (Array.to_list (Array.map Bit.to_string inputs))
+let ids_string s = if Nodeset.is_empty s then "-" else Nodeset.to_csv s
 
 let chaos_string = function
   | None -> "none"
@@ -73,7 +74,7 @@ let id s =
   Printf.sprintf "%s|%s|f=%d%s|faulty=%s%s|s=%s|in=%s%s%s" (algo_name s.algo)
     s.gname s.f t_part (ids_string s.faulty) eq_part
     (Format.asprintf "%a" S.pp_kind s.strategy)
-    (inputs_string s.inputs) chaos_part net_part
+    (Bit.array_to_string s.inputs) chaos_part net_part
 
 (* FNV-1a over the id string: a deterministic, platform-stable hash (we
    avoid [Hashtbl.hash], whose value is not documented to be stable). *)
@@ -103,13 +104,21 @@ type verdict = {
   counterexample : string option;
 }
 
-let run_outcome s ~seed =
+let run_unfueled s ~seed =
   let g = s.build () in
   let n = G.size g in
+  let bad fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("scenario " ^ id s ^ ": " ^ m)) fmt
+  in
   if Array.length s.inputs <> n then
-    invalid_arg
-      (Printf.sprintf "scenario %s: %d inputs for a %d-node graph" (id s)
-         (Array.length s.inputs) n);
+    bad "%d inputs for a %d-node graph" (Array.length s.inputs) n;
+  let outside = Nodeset.filter (fun v -> v >= n) s.faulty in
+  if not (Nodeset.is_empty outside) then
+    bad "faulty nodes %s are not in the %d-node graph"
+      (Nodeset.to_string outside) n;
+  if not (Nodeset.subset s.equivocators s.faulty) then
+    bad "equivocators %s are not all faulty"
+      (Nodeset.to_string (Nodeset.diff s.equivocators s.faulty));
   let strategy _ = s.strategy in
   let go () =
     match s.algo with
@@ -144,6 +153,11 @@ let run_outcome s ~seed =
   | None -> (perturbed (), 0)
   | Some p -> Net.with_net p ~seed perturbed
 
+let run ?max_rounds s ~seed =
+  match max_rounds with
+  | None -> run_unfueled s ~seed
+  | Some budget -> Engine.with_fuel ~budget (fun () -> run_unfueled s ~seed)
+
 let unanimous_honest s =
   let honest = ref [] in
   Array.iteri
@@ -152,25 +166,6 @@ let unanimous_honest s =
   match !honest with
   | [] -> None
   | b :: rest -> if List.for_all (Bit.equal b) rest then Some b else None
-
-(* The CLI's [-s] spelling (bin/lbcast.ml parse_strategy) — [S.pp_kind]
-   is the human rendering and is not parseable back. *)
-let cli_kind = function
-  | S.Honest_behavior -> "honest"
-  | S.Silent -> "silent"
-  | S.Crash_at r -> Printf.sprintf "crash:%d" r
-  | S.Lie -> "lie"
-  | S.Flip_forwards -> "flip"
-  | S.Flip_from ids ->
-      Printf.sprintf "flip-from:%s"
-        (String.concat "," (List.map string_of_int (Nodeset.elements ids)))
-  | S.Omit_from ids ->
-      Printf.sprintf "omit:%s"
-        (String.concat "," (List.map string_of_int (Nodeset.elements ids)))
-  | S.Omit_sampled k -> Printf.sprintf "omit-sampled:%d" k
-  | S.Spurious k -> Printf.sprintf "spurious:%d" k
-  | S.Noise k -> Printf.sprintf "noise:%d" k
-  | S.Equivocate -> "equivocate"
 
 let repro_command s ~seed =
   let parts =
@@ -184,8 +179,8 @@ let repro_command s ~seed =
        else Printf.sprintf "--faulty %s" (ids_string s.faulty));
       (if Nodeset.is_empty s.equivocators then ""
        else Printf.sprintf "--equivocators %s" (ids_string s.equivocators));
-      Printf.sprintf "-s %s" (cli_kind s.strategy);
-      Printf.sprintf "-i %s" (inputs_string s.inputs);
+      Printf.sprintf "-s %s" (S.to_string s.strategy);
+      Printf.sprintf "-i %s" (Bit.array_to_string s.inputs);
       (match s.chaos with
       | None -> ""
       | Some _ -> Printf.sprintf "--chaos %s" (chaos_string s.chaos));
@@ -200,11 +195,7 @@ let repro_command s ~seed =
 
 let execute_strict ?(base_seed = 0) ?max_rounds ~index s =
   let seed = scenario_seed ~base:base_seed s in
-  let o, sim_ns =
-    match max_rounds with
-    | None -> run_outcome s ~seed
-    | Some budget -> Engine.with_fuel ~budget (fun () -> run_outcome s ~seed)
-  in
+  let o, sim_ns = run ?max_rounds s ~seed in
   let agreement = Spec.agreement o in
   let validity = Spec.validity o in
   let termination =

@@ -6,7 +6,13 @@
     execution builds a fresh graph instance, so scenarios can be executed
     concurrently on separate domains without sharing mutable graph
     structure, and every failure report doubles as a [lbcast run]
-    reproduction command.
+    reproduction command. [lbcast run] builds a scenario from its flags
+    and executes it through {!run}, the same executor campaigns use, and
+    each field's spelling in that command parses back in [lib/]
+    ({!Lbc_graph.Builders.of_spec}, {!algo_of_name},
+    {!Lbc_adversary.Strategy.of_string}, {!Lbc_graph.Nodeset.of_csv},
+    {!Lbc_consensus.Bit.array_of_string}), so a repro line replays the
+    campaign's execution exactly.
 
     A scenario's {!id} is a canonical string derived from its content
     only (never from enumeration order or scheduling), which is what
@@ -23,8 +29,13 @@ type algo =
 val algo_name : algo -> string
 (** CLI-compatible name: ["a1"], ["a2"], ["a3"], ["relay"], ["eig"]. *)
 
+val algo_of_name : t:int -> string -> (algo, string) result
+(** Inverse of {!algo_name}; [t] is the equivocation budget of ["a3"]
+    (the CLI's [-t]) and is ignored for the other names. *)
+
 type t = {
-  gname : string;  (** CLI-parsable graph spec, e.g. ["cycle:5"] *)
+  gname : string;
+      (** graph spec, e.g. ["cycle:5"] ({!Lbc_graph.Builders.of_spec}) *)
   build : unit -> Lbc_graph.Graph.t;  (** fresh graph per execution *)
   algo : algo;
   f : int;
@@ -71,6 +82,22 @@ val repro_command : t -> seed:int -> string
 (** The [lbcast run] command line reproducing this scenario (including
     its [--chaos] spec and non-ideal [--net] profile) with the given
     seed. *)
+
+val run : ?max_rounds:int -> t -> seed:int -> Lbc_consensus.Spec.outcome * int
+(** Execute the scenario once on a freshly built graph: the algorithm
+    under the scenario's strategy, inside its chaos spec and network
+    profile (both seeded with [seed]), and inside a [max_rounds] fuel
+    budget ({!Lbc_sim.Engine.with_fuel}) when one is given. Returns the
+    outcome and the simulated wall-time in ns (0 without a profile). The
+    one executor behind campaigns ({!execute}) and [lbcast run].
+
+    {!Eig} maps the strategy onto its own attack: [Silent]/[Crash_at]
+    stay silent, [Equivocate] equivocates, anything else lies.
+
+    @raise Invalid_argument when the inputs do not cover the graph, a
+    faulty node is not in the graph, or an equivocator is not faulty.
+    Whatever the execution raises ({!Lbc_sim.Engine.Fuel_exhausted},
+    {!Lbc_sim.Engine.Model_violation}, ...) propagates. *)
 
 val scenario_seed : base:int -> t -> int
 (** The per-scenario RNG seed: a deterministic (FNV-1a) hash of {!id}

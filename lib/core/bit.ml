@@ -22,3 +22,10 @@ let majority bits =
 
 let pp fmt b = Format.pp_print_int fmt (to_int b)
 let to_string b = string_of_int (to_int b)
+
+let array_to_string a = String.concat "" (Array.to_list (Array.map to_string a))
+
+let array_of_string s =
+  if String.for_all (fun c -> c = '0' || c = '1') s then
+    Ok (Array.init (String.length s) (fun i -> of_int (Char.code s.[i] - 48)))
+  else Error "expected a 01-string, e.g. 01011"

@@ -30,3 +30,9 @@ val majority : t list -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val array_to_string : t array -> string
+(** One digit per node, node 0 first: the CLI's [-i] spelling ["01011"]. *)
+
+val array_of_string : string -> (t array, string) result
+(** Inverse of {!array_to_string}. *)

@@ -10,11 +10,3 @@ let choose ~g ~f =
       if Lbc_graph.Disjoint.connectivity_at_least g (2 * f) then Ok Efficient
       else Ok Exponential
   | verdict -> Error verdict
-
-let run ~g ~f ~inputs ~faulty ?strategy ?seed () =
-  match choose ~g ~f with
-  | Error v -> Error v
-  | Ok Efficient ->
-      Ok (Efficient, Algorithm2.run ~g ~f ~inputs ~faulty ?strategy ?seed ())
-  | Ok Exponential ->
-      Ok (Exponential, Algorithm1.run ~g ~f ~inputs ~faulty ?strategy ?seed ())

@@ -1,5 +1,5 @@
-(** Front door: feasibility-checked consensus with automatic algorithm
-    selection.
+(** Feasibility-checked automatic algorithm selection: what
+    [lbcast run --algo auto] runs.
 
     Given a graph and a fault budget, picks the cheapest applicable
     algorithm from the paper:
@@ -20,15 +20,4 @@ type choice = Efficient  (** Algorithm 2 *) | Exponential  (** Algorithm 1 *)
 val pp_choice : Format.formatter -> choice -> unit
 
 val choose : g:Lbc_graph.Graph.t -> f:int -> (choice, Lbc_graph.Conditions.verdict) result
-(** Which algorithm {!run} would use, or why it refuses. *)
-
-val run :
-  g:Lbc_graph.Graph.t ->
-  f:int ->
-  inputs:Bit.t array ->
-  faulty:Lbc_graph.Nodeset.t ->
-  ?strategy:(int -> Lbc_adversary.Strategy.kind) ->
-  ?seed:int ->
-  unit ->
-  (choice * Spec.outcome, Lbc_graph.Conditions.verdict) result
-(** Check the condition, dispatch, and run. *)
+(** Which algorithm to run, or why it refuses. *)

@@ -227,3 +227,85 @@ let random_augmented_circulant ~seed ~n ~k ~extra =
     done
   done;
   g
+
+let of_spec spec =
+  let ( let* ) = Result.bind in
+  let int what s =
+    Option.to_result ~none:(Printf.sprintf "%s: bad %s" spec what)
+      (int_of_string_opt s)
+  in
+  let rec all f = function
+    | [] -> Ok []
+    | x :: xs ->
+        let* y = f x in
+        let* ys = all f xs in
+        Ok (y :: ys)
+  in
+  let pair sep what s =
+    match String.split_on_char sep s with
+    | [ a; b ] ->
+        let* a = int what a in
+        let* b = int what b in
+        Ok (a, b)
+    | _ -> Error (Printf.sprintf "%s: bad %s %s" spec what s)
+  in
+  let build =
+    match String.split_on_char ':' spec with
+    | [ "fig1a" ] -> Ok fig1a
+    | [ "fig1b" ] -> Ok fig1b
+    | [ "petersen" ] -> Ok petersen
+    | [ ("cycle" | "ring"); n ] -> Result.map (fun n () -> cycle n) (int "n" n)
+    | [ "path"; n ] -> Result.map (fun n () -> path_graph n) (int "n" n)
+    | [ ("complete" | "k"); n ] ->
+        Result.map (fun n () -> complete n) (int "n" n)
+    | [ "star"; n ] -> Result.map (fun n () -> star n) (int "n" n)
+    | [ "wheel"; n ] -> Result.map (fun n () -> wheel n) (int "n" n)
+    | [ "hypercube"; d ] -> Result.map (fun d () -> hypercube d) (int "d" d)
+    | [ "tight"; f ] -> Result.map (fun f () -> tight f) (int "f" f)
+    | [ "torus"; wh ] ->
+        Result.map (fun (w, h) () -> torus w h) (pair 'x' "dimensions" wh)
+    | [ "grid"; wh ] ->
+        Result.map (fun (w, h) () -> grid w h) (pair 'x' "dimensions" wh)
+    | [ "circulant"; n; jumps ] ->
+        let* n = int "n" n in
+        let* js = all (int "jump") (String.split_on_char ',' jumps) in
+        Ok (fun () -> circulant n js)
+    | [ "harary"; k; n ] ->
+        let* k = int "k" k in
+        let* n = int "n" n in
+        Ok (fun () -> harary k n)
+    | [ "gnp"; n; p; seed ] ->
+        let* n = int "n" n in
+        let* p =
+          Option.to_result ~none:(spec ^ ": bad p") (float_of_string_opt p)
+        in
+        let* seed = int "seed" seed in
+        Ok (fun () -> random_gnp ~seed n p)
+    | [ "edges"; n; es ] ->
+        let* n = int "n" n in
+        let* edges = all (pair '-' "edge") (String.split_on_char ',' es) in
+        Ok (fun () -> Graph.of_edges n edges)
+    | "file" :: _ ->
+        let path = String.sub spec 5 (String.length spec - 5) in
+        Ok
+          (fun () ->
+            match Graphio.of_file path with
+            | Ok g -> g
+            | Error msg -> invalid_arg msg)
+    | _ ->
+        Error
+          (spec
+         ^ ": unknown graph. Try fig1a, fig1b, petersen, cycle:N, path:N, \
+            complete:N, star:N, wheel:N, hypercube:D, tight:F, torus:WxH, \
+            grid:WxH, circulant:N:J1,J2, harary:K:N, gnp:N:P:SEED, \
+            edges:N:0-1,1-2,..., file:PATH")
+  in
+  let* build = build in
+  (* The builders check their own parameters; a rejected one is a bad
+     spec, not a crash. *)
+  match build () with
+  | g -> Ok g
+  | exception (Invalid_argument msg | Sys_error msg) ->
+      Error (spec ^ ": " ^ msg)
+  | exception Graph.Invalid_node v ->
+      Error (Printf.sprintf "%s: node %d out of range" spec v)

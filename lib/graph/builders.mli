@@ -83,6 +83,18 @@ val two_cliques_with_cut : a:int -> b:int -> c:int -> Graph.t
     clique B (size b, remaining ids), with A×C and B×C complete. Its
     connectivity is [c] whenever a, b ≥ 1. *)
 
+(** {1 Graph specs} *)
+
+val of_spec : string -> (Graph.t, string) result
+(** Build the graph a spec string names: the CLI's [-g] syntax and a
+    scenario's [gname]. Specs are [fig1a], [fig1b], [petersen], [cycle:N]
+    (or [ring:N]), [path:N], [complete:N] (or [k:N]), [star:N], [wheel:N],
+    [hypercube:D], [tight:F], [torus:WxH], [grid:WxH], [circulant:N:J1,J2],
+    [harary:K:N], [gnp:N:P:SEED], [edges:N:0-1,1-2,...] and [file:PATH]
+    ({!Graphio.of_file}). Never raises: a malformed spec, a parameter its
+    builder rejects, an out-of-range edge endpoint or an unreadable file
+    gives [Error] with a message naming the spec. *)
+
 (** {1 Randomised families (deterministic under a seed)} *)
 
 val random_gnp : seed:int -> int -> float -> Graph.t

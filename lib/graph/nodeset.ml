@@ -12,3 +12,13 @@ let pp fmt s =
     (elements s)
 
 let to_string s = Format.asprintf "%a" pp s
+
+let to_csv s = String.concat "," (List.map string_of_int (elements s))
+
+let of_csv str =
+  if str = "" then Ok empty
+  else
+    let ids = List.map int_of_string_opt (String.split_on_char ',' str) in
+    if List.for_all (function Some v -> v >= 0 | None -> false) ids then
+      Ok (of_list (List.filter_map Fun.id ids))
+    else Error (str ^ ": expected comma-separated node ids")

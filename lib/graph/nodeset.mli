@@ -15,3 +15,11 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 (** [to_string s] is [Format.asprintf "%a" pp s]. *)
+
+val to_csv : t -> string
+(** [to_csv s] lists the ids in increasing order, comma-separated:
+    ["0,3,7"]; [""] for the empty set. The CLI's node-list spelling. *)
+
+val of_csv : string -> (t, string) result
+(** Inverse of {!to_csv}: [""] is the empty set; any other string must be
+    a comma-separated list of non-negative integers. *)

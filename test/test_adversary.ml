@@ -115,6 +115,24 @@ let test_broadcast_bound_classification () =
   check_int "hybrid has one more" 1
     (List.length S.kinds_hybrid - List.length S.kinds_lbc)
 
+(* [-s] spellings parse back to the strategy they print; the human
+   rendering [pp_kind] is the comparison, so the check is not circular. *)
+let test_spelling_roundtrip () =
+  let human k = Format.asprintf "%a" S.pp_kind k in
+  List.iter
+    (fun k ->
+      match S.of_string (S.to_string k) with
+      | Ok k' -> Alcotest.(check string) (S.to_string k) (human k) (human k')
+      | Error e -> Alcotest.failf "%s rejected: %s" (S.to_string k) e)
+    (S.Crash_at 0 :: S.Omit_from Nodeset.empty
+    :: S.Flip_from (Nodeset.of_list [ 3; 11 ])
+    :: S.kinds_hybrid);
+  check "flip-forwards alias" true
+    (S.of_string "flip-forwards" = Ok S.Flip_forwards);
+  List.iter
+    (fun bad -> check bad true (Result.is_error (S.of_string bad)))
+    [ ""; "bogus"; "crash"; "crash:x"; "omit:1,-2"; "noise:1:2"; "flip-from:a" ]
+
 let () =
   Alcotest.run "adversary"
     [
@@ -133,4 +151,6 @@ let () =
           Alcotest.test_case "classification" `Quick
             test_broadcast_bound_classification;
         ] );
+      ( "spelling",
+        [ Alcotest.test_case "roundtrip" `Quick test_spelling_roundtrip ] );
     ]

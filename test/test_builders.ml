@@ -171,6 +171,94 @@ let prop_harary_k_connected =
       let g = B.harary k n in
       D.connectivity g = k)
 
+(* ------------------------------------------------------------------ *)
+(* Graph specs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let same_graph a b = G.size a = G.size b && G.edges a = G.edges b
+
+let test_spec_families () =
+  List.iter
+    (fun (spec, g) ->
+      match B.of_spec spec with
+      | Ok g' -> check spec true (same_graph g g')
+      | Error e -> Alcotest.failf "%s rejected: %s" spec e)
+    [
+      ("fig1a", B.fig1a ());
+      ("fig1b", B.fig1b ());
+      ("petersen", B.petersen ());
+      ("cycle:6", B.cycle 6);
+      ("ring:6", B.cycle 6);
+      ("path:4", B.path_graph 4);
+      ("complete:5", B.complete 5);
+      ("k:5", B.complete 5);
+      ("star:5", B.star 5);
+      ("wheel:7", B.wheel 7);
+      ("hypercube:3", B.hypercube 3);
+      ("tight:2", B.tight 2);
+      ("torus:3x4", B.torus 3 4);
+      ("grid:3x4", B.grid 3 4);
+      ("circulant:8:1,2", B.circulant 8 [ 1; 2 ]);
+      ("harary:3:8", B.harary 3 8);
+      ("gnp:9:0.5:4", B.random_gnp ~seed:4 9 0.5);
+      ("edges:3:0-1,1-2", G.of_edges 3 [ (0, 1); (1, 2) ]);
+    ]
+
+(* Parameters a builder rejects are bad specs, not crashes. *)
+let test_spec_rejected () =
+  List.iter
+    (fun spec -> check spec true (Result.is_error (B.of_spec spec)))
+    [
+      "cycle:2"; "star:0"; "wheel:2"; "tight:0"; "torus:0x3"; "harary:9:3";
+      "circulant:5:0"; "gnp:5:1.5:1"; "edges:3:0-5"; "circulant:0:1";
+      "complete:-3"; "grid:2"; "edges:3:0-1,x"; "cycle:x"; "file:"; "nope";
+    ]
+
+(* Specs drawn from the grammar, with small parameters (hypercube
+   dimension <= 6) so that no case allocates a large graph. *)
+let spec_gen =
+  let open QCheck.Gen in
+  let num = map string_of_int (int_range (-2) 12) in
+  let csv g = map (String.concat ",") (list_size (int_range 0 3) g) in
+  let join parts = map (String.concat ":") (flatten_l parts) in
+  oneof
+    [
+      oneofl [ "fig1a"; "fig1b"; "petersen"; ""; "cycle"; "torus:3"; "file:" ];
+      join
+        [
+          oneofl
+            [
+              "cycle"; "ring"; "path"; "complete"; "k"; "star"; "wheel";
+              "tight";
+            ];
+          num;
+        ];
+      join [ return "hypercube"; map string_of_int (int_range (-2) 6) ];
+      join
+        [
+          oneofl [ "torus"; "grid" ];
+          map (fun (w, h) -> w ^ "x" ^ h) (pair num num);
+        ];
+      join [ return "circulant"; num; csv num ];
+      join [ return "harary"; num; num ];
+      join
+        [
+          return "gnp"; num; map string_of_float (float_range (-0.5) 1.5); num;
+        ];
+      join
+        [
+          return "edges";
+          num;
+          csv (map (fun (u, v) -> u ^ "-" ^ v) (pair num num));
+        ];
+    ]
+
+let prop_of_spec_total =
+  QCheck.Test.make ~name:"of_spec never raises" ~count:500
+    (QCheck.make ~print:Fun.id spec_gen)
+    (fun spec ->
+      match B.of_spec spec with Ok _ | Error _ -> true)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "builders"
@@ -208,4 +296,8 @@ let () =
           Alcotest.test_case "geometric" `Quick test_random_geometric;
         ] );
       ("properties", qt [ prop_tight_meets_condition; prop_harary_k_connected ]);
+      ( "specs",
+        Alcotest.test_case "families" `Quick test_spec_families
+        :: Alcotest.test_case "rejected" `Quick test_spec_rejected
+        :: qt [ prop_of_spec_total ] );
     ]

@@ -149,9 +149,8 @@ let grid_of_ints (n, mask, extra) =
   in
   Grid.product ~name:"prop"
     ~graphs:
-      (( Printf.sprintf "cycle:%d" n, 1, fun () -> B.cycle n )
-      ::
-      (if extra land 2 = 2 then [ ("fig1a", 1, B.fig1a) ] else []))
+      ((Printf.sprintf "cycle:%d" n, 1)
+      :: (if extra land 2 = 2 then [ ("fig1a", 1) ] else []))
     ~algos ~placements:Grid.singleton_placements ~strategies
     ~inputs:Grid.unanimous_inputs ()
 
@@ -601,7 +600,7 @@ let test_strict_mode_kill_is_a_crash () =
 let test_strict_mode_honours_deadline () =
   let grid =
     Grid.product ~name:"slow"
-      ~graphs:[ ("petersen", 1, B.petersen) ]
+      ~graphs:[ ("petersen", 1) ]
       ~algos:[ Scenario.A1 ] ~placements:Grid.singleton_placements
       ~strategies:[ S.Flip_forwards ] ~inputs:Grid.unanimous_inputs ()
   in
@@ -947,6 +946,103 @@ let test_grid_chaos_specs_parse_back () =
   check "some grid sweeps chaos" true (!seen > 0);
   check "some grid sweeps a bounded delay" true (!delayed > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Repro lines round-trip                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Parse a [lbcast run] reproduction line back into a scenario and seed
+   with the lib/ parsers the CLI uses. *)
+let scenario_of_repro cmd =
+  let rec flags acc = function
+    | [] -> acc
+    | k :: v :: rest when k.[0] = '-' -> flags ((k, v) :: acc) rest
+    | w :: _ -> Alcotest.failf "stray word %S in %s" w cmd
+  in
+  let flags =
+    match String.split_on_char ' ' cmd with
+    | "lbcast" :: "run" :: rest -> flags [] rest
+    | _ -> Alcotest.failf "not a run command: %s" cmd
+  in
+  let get k = List.assoc_opt k flags in
+  let need k =
+    match get k with Some v -> v | None -> Alcotest.failf "%s lacks %s" cmd k
+  in
+  let ok k = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s does not parse back: %s" cmd k e
+  in
+  let opt k parse = Option.map (fun v -> ok k (parse v)) (get k) in
+  let ids k = Option.value ~default:Nodeset.empty (opt k Nodeset.of_csv) in
+  let int k = int_of_string (need k) in
+  let gname = need "-g" in
+  let t = Option.fold ~none:0 ~some:int_of_string (get "-t") in
+  ( Scenario.make ~gname
+      ~build:(fun () -> ok "-g" (B.of_spec gname))
+      ~algo:(ok "--algo" (Scenario.algo_of_name ~t (need "--algo")))
+      ~f:(int "-f") ~faulty:(ids "--faulty")
+      ~equivocators:(ids "--equivocators")
+      ~strategy:(ok "-s" (S.of_string (need "-s")))
+      ~inputs:(ok "-i" (Bit.array_of_string (need "-i")))
+      ?chaos:(opt "--chaos" Lbc_sim.Perturb.parse)
+      ?net:(opt "--net" Lbc_net.Net.parse)
+      (),
+    int "--seed" )
+
+(* Every predefined scenario's graph spec names the graph it runs, and
+   every field its repro line prints parses back to the same value: the
+   rebuilt scenario has the same content-derived id (whose strategy
+   rendering is [pp_kind], not the [-s] spelling) and the same seed. *)
+let test_repro_lines_parse_back () =
+  let module G = Lbc_graph.Graph in
+  List.iter
+    (fun name ->
+      let grid = Option.get (C.Grids.by_name name) in
+      Array.iter
+        (fun (s : Scenario.t) ->
+          let built = s.Scenario.build () in
+          (match B.of_spec s.Scenario.gname with
+          | Ok g ->
+              if G.size g <> G.size built || G.edges g <> G.edges built then
+                Alcotest.failf "%s: %s names another graph" name
+                  s.Scenario.gname
+          | Error e -> Alcotest.failf "%s: %s" name e);
+          let cmd = Scenario.repro_command s ~seed:42 in
+          let back, seed = scenario_of_repro cmd in
+          if Scenario.id back <> Scenario.id s || seed <> 42 then
+            Alcotest.failf "%s: %s replays %s" name cmd (Scenario.id back))
+        (Grid.to_array grid))
+    C.Grids.names
+
+(* The e8 EIG scenario's repro line replays the campaign execution:
+   before [lbcast run] went through [Scenario.run] it ignored [-s lie]
+   and reported 51 transmissions. *)
+let test_e8_eig_replay () =
+  let s =
+    List.find
+      (fun s -> s.Scenario.algo = Scenario.Eig)
+      (Array.to_list (Grid.to_array (Option.get (C.Grids.by_name "e8"))))
+  in
+  let v = Scenario.execute ~base_seed:0 ~index:0 s in
+  check_int "campaign verdict tx" 21 v.Scenario.transmissions;
+  let back, seed =
+    scenario_of_repro
+      (Scenario.repro_command s ~seed:(Scenario.scenario_seed ~base:0 s))
+  in
+  let o, _ = Scenario.run back ~seed in
+  check_int "replayed tx" 21 o.Lbc_consensus.Spec.transmissions
+
+let test_run_rejects_bad_nodes () =
+  let raises what s =
+    match Scenario.run s ~seed:0 with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  raises "faulty node outside the graph"
+    (scenario ~faulty:(Nodeset.of_list [ 2; 9 ]) ());
+  raises "non-faulty equivocator"
+    { (scenario ()) with Scenario.equivocators = Nodeset.singleton 3 };
+  raises "short inputs" (scenario ~inputs:[| Bit.One |] ())
+
 let test_n100_grid_registered () =
   match C.Grids.by_name "n100" with
   | None -> Alcotest.fail "n100 grid missing"
@@ -1039,6 +1135,14 @@ let () =
         [
           Alcotest.test_case "grid chaos specs parse back" `Quick
             test_grid_chaos_specs_parse_back;
+        ] );
+      ( "repro",
+        [
+          Alcotest.test_case "repro lines parse back" `Quick
+            test_repro_lines_parse_back;
+          Alcotest.test_case "e8 eig replay" `Quick test_e8_eig_replay;
+          Alcotest.test_case "run rejects bad nodes" `Quick
+            test_run_rejects_bad_nodes;
         ] );
       ( "stats",
         Alcotest.test_case "merge" `Quick test_stats_merge

@@ -21,7 +21,7 @@ let check_str = Alcotest.(check string)
    behind. *)
 let fuzz_grid () =
   Grid.product ~name:"fuzz"
-    ~graphs:[ ("cycle:5", 1, fun () -> B.cycle 5) ]
+    ~graphs:[ ("cycle:5", 1) ]
     ~algos:[ Scenario.A2 ] ~placements:Grid.singleton_placements
     ~strategies:[ S.Flip_forwards; S.Lie ]
     ~inputs:Grid.unanimous_inputs ()

@@ -3,11 +3,13 @@
 
    The fixtures under deep_fixtures/ are real dune libraries — the deep
    pass reads .cmt/.cmti typed ASTs, so unlike the lint_fixtures
-   snippets they must actually compile. The test binary runs from
+   snippets they must actually compile. The test binary lives in
    _build/default/test, where the fixture annotations sit under
    deep_fixtures/ and the (dune-copied) sources are reachable via
    ".." from the build root — which is also why every finding path
-   below is build-root-relative (test/deep_fixtures/...). *)
+   below is build-root-relative (test/deep_fixtures/...). Both are
+   resolved from the executable's location, so the suite runs from any
+   working directory. *)
 
 module Rules = Lbc_lint.Rules
 module Deep = Lbc_lint.Deep
@@ -25,9 +27,12 @@ let contains s needle =
   let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
   go 0
 
+let test_dir = Filename.dirname Sys.executable_name
+let fixture_dir = Filename.concat test_dir "deep_fixtures"
+let source_root = Filename.concat test_dir Filename.parent_dir_name
+
 (* One Deep.run over the fixture tree, shared by all cases. *)
-let result =
-  lazy (Deep.run ~build_dirs:[ "deep_fixtures" ] ~source_root:".." ())
+let result = lazy (Deep.run ~build_dirs:[ fixture_dir ] ~source_root ())
 
 let kept_in file =
   List.filter
@@ -177,7 +182,7 @@ let with_cache_dir f =
     (fun () -> f dir)
 
 let cached_run dir =
-  Deep.run ~cache_dir:dir ~build_dirs:[ "deep_fixtures" ] ~source_root:".." ()
+  Deep.run ~cache_dir:dir ~build_dirs:[ fixture_dir ] ~source_root ()
 
 let test_cache_warm_identical () =
   (* cold run stores, warm run hits everything and reproduces the exact

@@ -223,7 +223,7 @@ let test_profiled_run_composes_with_chaos () =
 let small_grid ?net () =
   let net = match net with None -> [ None ] | Some p -> [ Some p ] in
   Campaign.Grid.product ~name:"net-test" ~net
-    ~graphs:[ ("cycle:5", 1, fun () -> B.cycle 5) ]
+    ~graphs:[ ("cycle:5", 1) ]
     ~algos:[ Campaign.Scenario.A1; Campaign.Scenario.A2 ]
     ~placements:(fun _ ~f:_ -> [ Nodeset.singleton 2 ])
     ~strategies:[ Lbc_adversary.Strategy.Flip_forwards ]

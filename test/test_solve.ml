@@ -37,23 +37,24 @@ let test_refusal () =
   | Error (Cond.Small_cut _) -> ()
   | _ -> Alcotest.fail "expected Small_cut refusal"
 
+(* The CLI's [--algo auto]: choose, then run the choice as a scenario. *)
 let test_run_roundtrip () =
+  let module Scenario = Lbc_campaign.Scenario in
   let g = B.fig1a () in
   let inputs = Array.make 5 Bit.One in
   inputs.(2) <- Bit.Zero;
-  (match
-     Solve.run ~g ~f:1 ~inputs ~faulty:(Nodeset.singleton 2)
-       ~strategy:(fun _ -> S.Flip_forwards)
-       ()
-   with
-  | Ok (Solve.Efficient, o) ->
+  (match Solve.choose ~g ~f:1 with
+  | Ok Solve.Efficient ->
+      let s =
+        Scenario.make ~gname:"fig1a" ~build:B.fig1a ~algo:Scenario.A2 ~f:1
+          ~faulty:(Nodeset.singleton 2) ~strategy:S.Flip_forwards ~inputs ()
+      in
+      let o, _ = Scenario.run s ~seed:0 in
       check "consensus" true
         (Spec.agreement o && Spec.decision o = Some Bit.One)
-  | Ok (Solve.Exponential, _) -> Alcotest.fail "expected efficient"
+  | Ok Solve.Exponential -> Alcotest.fail "expected efficient"
   | Error _ -> Alcotest.fail "expected feasible");
-  match
-    Solve.run ~g ~f:2 ~inputs ~faulty:Nodeset.empty ()
-  with
+  match Solve.choose ~g ~f:2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected refusal at f=2"
 
