@@ -243,18 +243,44 @@ let do_run spec algo f t x equivocators chaos net max_rounds stats trace =
 (* ------------------------------------------------------------------ *)
 
 let do_attack g lemma f t =
-  let gadget =
+  (* Each gadget, and the condition its graph must violate. *)
+  let build, needs =
     match lemma with
-    | "degree" -> Gadget.degree_gadget g ~f ()
-    | "connectivity" -> Gadget.connectivity_gadget g ~f ()
-    | "hybrid-neighborhood" -> Gadget.hybrid_neighborhood_gadget g ~f ~t ()
-    | "hybrid-connectivity" -> Gadget.hybrid_connectivity_gadget g ~f ~t ()
+    | "degree" ->
+        ( (fun () -> Gadget.degree_gadget g ~f ()),
+          Printf.sprintf "Lemma A.1 needs f >= 1 and a node of degree < 2f = %d"
+            (2 * f) )
+    | "connectivity" ->
+        ( (fun () -> Gadget.connectivity_gadget g ~f ()),
+          Printf.sprintf
+            "Lemma A.2 needs f >= 1 and a vertex cut of at most floor(3f/2) = \
+             %d nodes"
+            (3 * f / 2) )
+    | "hybrid-neighborhood" ->
+        ( (fun () -> Gadget.hybrid_neighborhood_gadget g ~f ~t ()),
+          Printf.sprintf
+            "Lemma D.1 needs 1 <= t <= f and a set of at most t nodes with 1 \
+             to 2f = %d neighbours"
+            (2 * f) )
+    | "hybrid-connectivity" ->
+        ( (fun () -> Gadget.hybrid_connectivity_gadget g ~f ~t ()),
+          Printf.sprintf
+            "Lemma D.2 needs 1 <= t <= f and a vertex cut of at most \
+             floor(3(f-t)/2) + 2t = %d nodes"
+            ((3 * (f - t) / 2) + (2 * t)) )
     | other ->
         Printf.eprintf
           "unknown lemma %s (degree, connectivity, hybrid-neighborhood, \
            hybrid-connectivity)\n"
           other;
         exit 2
+  in
+  let gadget =
+    try build ()
+    with Invalid_argument msg ->
+      Printf.eprintf "lbcast attack: no %s gadget on this graph: %s (%s)\n"
+        lemma needs msg;
+      exit 2
   in
   Printf.printf "%s\n" (Gadget.describe gadget);
   let hybrid = t > 0 in
@@ -319,9 +345,23 @@ let do_predict g f =
 (* forensics                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let do_forensics g f x =
+let do_forensics spec f x =
+  let g = graph_of_spec spec in
+  let inputs = inputs_for g x in
+  (* The node-id checks [run] makes, so a bad --faulty is a usage error
+     here too. *)
+  (try
+     Scenario.validate
+       (Scenario.make ~gname:spec
+          ~build:(fun () -> g)
+          ~algo:Scenario.A2 ~f ~faulty:x.faulty ~strategy:x.strategy ~inputs
+          ())
+       g
+   with Invalid_argument msg ->
+     Printf.eprintf "%s\n" msg;
+     exit 2);
   let o, reports =
-    A2.run_detailed ~g ~f ~inputs:(inputs_for g x) ~faulty:x.faulty
+    A2.run_detailed ~g ~f ~inputs ~faulty:x.faulty
       ~strategy:(fun _ -> x.strategy)
       ~seed:x.seed ()
   in
@@ -837,7 +877,7 @@ let forensics_cmd =
        ~doc:
          "Run Algorithm 2 and show, per node, its type (A/B) and the \
           faulty nodes it identified.")
-    Term.(const do_forensics $ graph_arg $ f_arg $ execution_term)
+    Term.(const do_forensics $ graph_spec_arg $ f_arg $ execution_term)
 
 let fuzz_cmd =
   let algo =

@@ -30,6 +30,10 @@
 #     exit 5 with "crashed: ...Model_violation..." on stderr;
 #   - a perturbed single run whose --stats output must show perturb.*
 #     counters, and a --max-rounds exhaustion that must exit 4;
+#   - every `attack --lemma` value: on a graph that violates the
+#     lemma's condition the attack must force disagreement (exit 0); on
+#     one that meets it, a usage error (exit 2) naming the condition;
+#   - `forensics` with a faulty id outside the graph must exit 2;
 #   - an E15 smoke grid under the wan network profile with drop chaos:
 #     the lbc-campaign/5 artifact must carry a simulated-time section
 #     and fingerprint identically on 1 and 4 domains;
@@ -263,6 +267,40 @@ set -e
   || { echo "FAIL: --max-rounds exhaustion exited $fuel_rc, want 4"; exit 1; }
 grep -q 'round budget' "$tmp/fuel.err" \
   || { echo "FAIL: fuel exhaustion message missing"; exit 1; }
+
+echo "== attack: every lemma, violated and met =="
+# attack_case LEMMA VIOLATING-GRAPH MEETING-GRAPH ARGS...
+attack_case() {
+  lemma=$1 bad=$2 good=$3
+  shift 3
+  dune exec bin/lbcast.exe -- attack -g "$bad" --lemma "$lemma" "$@" \
+    > "$tmp/attack.txt" \
+    || { echo "FAIL: attack --lemma $lemma on $bad did not force a split";
+         cat "$tmp/attack.txt"; exit 1; }
+  set +e
+  dune exec bin/lbcast.exe -- attack -g "$good" --lemma "$lemma" "$@" \
+    > /dev/null 2> "$tmp/attack.err"
+  attack_rc=$?
+  set -e
+  [ "$attack_rc" -eq 2 ] && grep -q 'needs' "$tmp/attack.err" \
+    || { echo "FAIL: attack --lemma $lemma on $good exited $attack_rc, want 2";
+         cat "$tmp/attack.err"; exit 1; }
+  echo "attack --lemma $lemma: $bad split, $good refused"
+}
+attack_case degree path:5 cycle:4 -f 1
+attack_case connectivity path:5 cycle:4 -f 1
+attack_case hybrid-neighborhood path:4 complete:6 -f 1 -t 1
+attack_case hybrid-connectivity cycle:4 complete:6 -f 1 -t 1
+
+echo "== forensics: a faulty id outside the graph is a usage error =="
+set +e
+dune exec bin/lbcast.exe -- forensics -g cycle:5 -f 1 --faulty 9 \
+  > /dev/null 2> "$tmp/forensics.err"
+forensics_rc=$?
+set -e
+[ "$forensics_rc" -eq 2 ] && grep -q 'not in the 5-node graph' "$tmp/forensics.err" \
+  || { echo "FAIL: forensics --faulty 9 exited $forensics_rc, want 2";
+       cat "$tmp/forensics.err"; exit 1; }
 
 echo "== chaos-smoke campaign: crashes and timeouts are contained =="
 # This grid deliberately contains a Model_violation scenario and a

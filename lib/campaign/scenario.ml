@@ -104,8 +104,7 @@ type verdict = {
   counterexample : string option;
 }
 
-let run_unfueled s ~seed =
-  let g = s.build () in
+let validate s g =
   let n = G.size g in
   let bad fmt =
     Printf.ksprintf (fun m -> invalid_arg ("scenario " ^ id s ^ ": " ^ m)) fmt
@@ -118,7 +117,12 @@ let run_unfueled s ~seed =
       (Nodeset.to_string outside) n;
   if not (Nodeset.subset s.equivocators s.faulty) then
     bad "equivocators %s are not all faulty"
-      (Nodeset.to_string (Nodeset.diff s.equivocators s.faulty));
+      (Nodeset.to_string (Nodeset.diff s.equivocators s.faulty))
+
+let run_unfueled s ~seed =
+  let g = s.build () in
+  let n = G.size g in
+  validate s g;
   let strategy _ = s.strategy in
   let go () =
     match s.algo with

@@ -83,6 +83,12 @@ val repro_command : t -> seed:int -> string
     its [--chaos] spec and non-ideal [--net] profile) with the given
     seed. *)
 
+val validate : t -> Lbc_graph.Graph.t -> unit
+(** Check the scenario against its built graph, as {!run} does before
+    executing: the inputs must cover the graph, every faulty node must
+    be in it, and every equivocator must be faulty.
+    @raise Invalid_argument naming the scenario and the violation. *)
+
 val run : ?max_rounds:int -> t -> seed:int -> Lbc_consensus.Spec.outcome * int
 (** Execute the scenario once on a freshly built graph: the algorithm
     under the scenario's strategy, inside its chaos spec and network

@@ -3,7 +3,7 @@ module G = Lbc_graph.Graph
 module Flood = Lbc_flood.Flood
 module Packing = Lbc_flood.Packing
 module P = Lbc_flood.Path_intern
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Lbc_flood.Itbl
 module Engine = Lbc_sim.Engine
 module Strategy = Lbc_adversary.Strategy
 
@@ -123,9 +123,11 @@ let heard_from_transcript g ~who transcript =
 
    - the claim/key index of each distinct report list, canonicalised by
      structural equality (a list that was flipped twice is a different
-     allocation but the same index), together with the answers it has
-     given so far, keyed on ints; and, per reporter, the list objects
-     already met from it with their indexes (see [index_of]);
+     allocation but the same index): its claims and its (z, path) keys
+     as ints (see [claim_key]), each report path interned in [sp], so a
+     membership query is one int-table probe; and, per reporter, the
+     list objects already met from it with their indexes (see
+     [index_of]);
    - the 2f disjoint w→u path families of fault discovery, each with its
      scan steps interned in [sp], so that a scan prefix is an int and its
      list is built once. In a run, [sp] is the table the honest flood
@@ -144,14 +146,10 @@ let heard_from_transcript g ~who transcript =
    certificate cache, whose hit/miss counters are observable) stay per
    node. *)
 
-(* The claims of one report list, and the membership answers given so
-   far by int key (see [claim_key]): a query is resolved against the
-   list-keyed tables once per scope. *)
+(* The claims of one report list, by int key (see [claim_key]). *)
 type index = {
-  claims : (report, unit) Hashtbl.t; (* full (z, m) claims *)
-  keys : (int * int list, unit) Hashtbl.t; (* (z, path) keys, for omission *)
-  has_claim : bool Itbl.t;
-  has_key : bool Itbl.t;
+  claims : unit Itbl.t; (* full (z, m) claims *)
+  keys : unit Itbl.t; (* (z, path) keys, for omission *)
 }
 
 (* One discovery path: the route w..u, its nodes, and the ids of its
@@ -200,7 +198,7 @@ let resolve_scope g = function
         invalid_arg "Algorithm2: scope built for another graph";
       s
 
-(* A total, injective numbering of queried paths, and its inverse. *)
+(* A total, injective numbering of queried and reported paths. *)
 let pid_of scope path =
   let pid = P.intern scope.sp path in
   if pid <> P.invalid then pid
@@ -216,52 +214,30 @@ let pid_of scope path =
         scope.exotic <- (path, pid) :: scope.exotic;
         pid
 
-let path_of scope pid =
-  if pid >= 0 then P.path scope.sp pid
-  else fst (List.find (fun (_, p) -> p = pid) scope.exotic)
-
 (* (z, path) and (z, value, path) as ints. Injective for 0 <= z < n and
    any path id, negative ones included; queried senders are always in
-   range (an out-of-range one raises [Invalid_node] first). *)
+   range (an out-of-range one raises [Invalid_node] first), and so are
+   reported ones (a report's sender is a neighbour of its reporter). *)
 let key_of scope ~z ~pid = (pid * scope.n) + z
 let claim_key scope ~z ~value ~pid = (key_of scope ~z ~pid * 2) + Bit.to_int value
 
-let build_index (reports : report list) =
+(* [pid_of] is injective on paths, so a claim is in the list iff its
+   int key is in [claims]: the same answer as the structural lookup. *)
+let build_index scope (reports : report list) =
   let len = List.length reports + 1 in
-  let idx =
-    {
-      claims = Hashtbl.create len;
-      keys = Hashtbl.create len;
-      has_claim = Itbl.create 64;
-      has_key = Itbl.create 64;
-    }
-  in
+  let idx = { claims = Itbl.create len; keys = Itbl.create len } in
   List.iter
-    (fun ((z, m) as claim : report) ->
-      Hashtbl.replace idx.claims claim ();
-      Hashtbl.replace idx.keys (z, m.Flood.path) ())
+    (fun ((z, m) : report) ->
+      let pid = pid_of scope m.Flood.path in
+      Itbl.replace idx.claims (claim_key scope ~z ~value:m.Flood.value ~pid) ();
+      Itbl.replace idx.keys (key_of scope ~z ~pid) ())
     reports;
   idx
 
 let mem_claim scope idx ~z ~value ~pid =
-  let key = claim_key scope ~z ~value ~pid in
-  match Itbl.find_opt idx.has_claim key with
-  | Some b -> b
-  | None ->
-      let b =
-        Hashtbl.mem idx.claims (z, { Flood.value; path = path_of scope pid })
-      in
-      Itbl.replace idx.has_claim key b;
-      b
+  Itbl.mem idx.claims (claim_key scope ~z ~value ~pid)
 
-let mem_key scope idx ~z ~pid =
-  let key = key_of scope ~z ~pid in
-  match Itbl.find_opt idx.has_key key with
-  | Some b -> b
-  | None ->
-      let b = Hashtbl.mem idx.keys (z, path_of scope pid) in
-      Itbl.replace idx.has_key key b;
-      b
+let mem_key scope idx ~z ~pid = Itbl.mem idx.keys (key_of scope ~z ~pid)
 
 (* The index of the report list [reports] that a record from [reporter]
    carries.
@@ -288,7 +264,7 @@ let index_of scope ~reporter reports =
         match Hashtbl.find_opt scope.indexes reports with
         | Some idx -> idx
         | None ->
-            let idx = build_index reports in
+            let idx = build_index scope reports in
             Hashtbl.replace scope.indexes reports idx;
             idx
       in
@@ -367,7 +343,7 @@ type group = {
 
 let attribution_index ?scope g ~me ~heard ~store2 =
   let scope = resolve_scope g scope in
-  let direct = build_index (with_defaults g ~who:me heard) in
+  let direct = build_index scope (with_defaults g ~who:me heard) in
   let by_reporter : group list ref Itbl.t = Itbl.create 64 in
   Flood.iter_records store2
     (fun ~origin:reporter ~path:_ ~sans_me:mask ~value:(reports : report list) ->

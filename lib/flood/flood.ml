@@ -23,12 +23,12 @@ type 'v store = {
   default : 'v option;
   vcompare : 'v -> 'v -> int;
   paths : P.t; (* private, or shared by the stores of one execution *)
-  seen : (int, unit) Hashtbl.t; (* rule (ii) keys: wire-path id * n + sender *)
-  bootstrap : (int, unit) Hashtbl.t;
-      (* neighbours defaulted by the missing-message rule — deliberately
-         NOT in [seen]: a bootstrap entry must never mask a genuine
-         round-1 initiation under rule (ii) *)
-  recs : (P.id, 'v record_entry) Hashtbl.t; (* full-path id -> record *)
+  mutable seen : Bytes.t;
+      (* rule (ii) keys as a bitset over trie ids: the key (wire path,
+         sender) is the id of the path wire·sender. Defaults synthesized
+         by the missing-message rule are deliberately NOT in it: they
+         must never mask a genuine round-1 initiation under rule (ii). *)
+  recs : 'v record_entry Itbl.t; (* full-path id -> record *)
   mutable recs_rev : 'v record_entry list; (* insertion order, newest first *)
   pcache : Packing.Cache.t;
   mutable defaults_done : bool;
@@ -38,7 +38,7 @@ type 'v store = {
    acceptance along the same full path overwrites the value (this is how
    a genuine initiation supersedes a synthesized default). *)
 let record t fid value =
-  match Hashtbl.find_opt t.recs fid with
+  match Itbl.find_opt t.recs fid with
   | Some r -> r.value <- value
   | None ->
       let full = P.mask t.paths fid in
@@ -47,7 +47,7 @@ let record t fid value =
       let sans_me = Packing.remove full t.me in
       let internal = Packing.remove (Packing.remove full hd) tl in
       let r = { origin = hd; path_id = fid; internal; sans_me; value } in
-      Hashtbl.replace t.recs fid r;
+      Itbl.replace t.recs fid r;
       t.recs_rev <- r :: t.recs_rev
 
 let create g ~me ~vcompare ?paths ?initiate ?default () =
@@ -69,9 +69,8 @@ let create g ~me ~vcompare ?paths ?initiate ?default () =
       default;
       vcompare;
       paths;
-      seen = Hashtbl.create 64;
-      bootstrap = Hashtbl.create 8;
-      recs = Hashtbl.create 64;
+      seen = Bytes.empty;
+      recs = Itbl.create 64;
       recs_rev = [];
       pcache = Packing.Cache.create ();
       defaults_done = false;
@@ -100,10 +99,24 @@ let me t = t.me
 let graph t = t.g
 let own_value t = t.initiate
 
-(* Rule (ii) keys combine the wire path and the transmitting neighbour
-   into one int. Only valid (interned, in-range) path ids reach this
-   point, so the encoding is injective. *)
-let seen_key t ~pid ~from = (pid * t.n) + from
+(* Rule (ii) keys are trie ids: the key (wire path pid, sender) is the
+   id of pid·sender, a distinct trie node per pair. *)
+let seen_mem t rid =
+  let i = rid lsr 3 in
+  rid >= 0
+  && i < Bytes.length t.seen
+  && Char.code (Bytes.get t.seen i) land (1 lsl (rid land 7)) <> 0
+
+let seen_add t rid =
+  let i = rid lsr 3 in
+  let len = Bytes.length t.seen in
+  if i >= len then begin
+    let b = Bytes.make (max (i + 1) (2 * len)) '\000' in
+    Bytes.blit t.seen 0 b 0 len;
+    t.seen <- b
+  end;
+  Bytes.set t.seen i
+    (Char.unsafe_chr (Char.code (Bytes.get t.seen i) lor (1 lsl (rid land 7))))
 
 (* Rules (i)-(iv). [from] is the transmitting neighbour, [round] the
    engine round in which the message arrived. *)
@@ -125,14 +138,13 @@ let handle t ~round ~from (m : 'v wire) =
     None
   end
   else begin
-    let key = seen_key t ~pid ~from in
-    if Hashtbl.mem t.seen key then begin
+    if seen_mem t rid then begin
       (* rule (ii): anti-equivocation *)
       Lbc_obs.Obs.incr "flood.dedup_hit";
       None
     end
     else begin
-      Hashtbl.replace t.seen key ();
+      seen_add t rid;
       if P.mem t.paths pid t.me then begin
         (* rule (iii) *)
         Lbc_obs.Obs.incr "flood.reject_own";
@@ -157,16 +169,12 @@ let synthesize_defaults t =
         List.filter_map
           (fun w ->
             (* A genuine round-1 initiation by [w] carries the empty wire
-               path, i.e. rule-(ii) key (root, w). Bootstrap entries live
-               in their own table with their own key shape, so they can
-               never mask (or be masked by) a real message. *)
-            if
-              Hashtbl.mem t.seen (seen_key t ~pid:P.root ~from:w)
-              || Hashtbl.mem t.bootstrap w
-            then None
+               path, i.e. rule-(ii) key [w]. Probing it interns nothing,
+               and a default never enters [seen], so it can never mask a
+               real message. *)
+            if seen_mem t (P.find t.paths P.root w) then None
             else begin
               Lbc_obs.Obs.incr "flood.default_synthesized";
-              Hashtbl.replace t.bootstrap w ();
               record t (P.intern t.paths [ w; t.me ]) d;
               Some { value = d; path = [ w ] }
             end)
@@ -196,7 +204,7 @@ let proc t : ('v wire, 'v store) Lbc_sim.Engine.proc =
    unique key of [t.recs]. [recs_rev] is an insertion-ordered list — no
    Hashtbl traversal is involved anywhere in the query layer. *)
 let records t =
-  Lbc_obs.Obs.observe "flood.store_size" (Hashtbl.length t.recs);
+  Lbc_obs.Obs.observe "flood.store_size" (Itbl.length t.recs);
   List.rev_map
     (fun r -> (r.origin, P.path t.paths r.path_id, r.value))
     t.recs_rev
@@ -211,7 +219,7 @@ let iter_records t f =
     (List.rev t.recs_rev)
 
 let value_along t ~path =
-  match Hashtbl.find_opt t.recs (P.intern t.paths path) with
+  match Itbl.find_opt t.recs (P.intern t.paths path) with
   | Some r -> Some r.value
   | None -> None
 
@@ -281,7 +289,7 @@ let reliable_values ~f t ~origin =
   if origin = t.me then
     match t.initiate with Some v -> [ v ] | None -> []
   else if G.mem_edge t.g origin t.me then
-    match Hashtbl.find_opt t.recs (P.intern t.paths [ origin; t.me ]) with
+    match Itbl.find_opt t.recs (P.intern t.paths [ origin; t.me ]) with
     | Some r -> [ r.value ]
     | None -> []
   else

@@ -39,8 +39,10 @@
     size is not capped by the machine word.
 
     Internally every path annotation is interned ({!Path_intern}, one
-    table per store unless the caller shares one): the rule-(ii) dedup table and the record store key
-    on dense ints, rule (i)'s timing/validity checks read intern-time
+    table per store unless the caller shares one): the rule-(ii) key
+    [(u, Π)] is the trie id of [Π·u], so the dedup table is a bitset over
+    trie ids; the record store keys on the full path's id ({!Itbl});
+    rule (i)'s timing/validity checks read intern-time
     facts, record node-sets are bitsets built once at accept time, and
     disjoint-path certificates are memoised per store
     ({!Packing.Cache}, counters [packing.cache_hit]/[packing.cache_miss]).
@@ -125,8 +127,9 @@ val synthesize_defaults : 'v store -> 'v wire list
     the forwards to broadcast. Called by {!proc} at round 1; exposed for
     adversarial wrappers. No-op when the store has no default.
 
-    Bootstrap entries are tracked in a dedicated table, {e not} in the
-    rule-(ii) dedup table: a genuine round-1 initiation handled after the
+    Synthesized defaults are {e not} entered in the rule-(ii) dedup
+    table, and probing it for a neighbour's initiation interns nothing
+    ({!Path_intern.find}): a genuine round-1 initiation handled after the
     defaults were synthesized is still accepted (and supersedes the
     synthesized record) rather than being masked by a burnt key. Under
     {!proc} the round-1 inbox is always processed first, so this only

@@ -12,12 +12,17 @@
 
     Memory model: a trie node costs a constant number of words plus its
     node bitset — it records its parent id and its last node, not its
-    path — and all trie edges of a table share one int-keyed table, so a
-    table's size is linear in the number of distinct prefixes it has
-    seen. The origin-first list of a path is built lazily, from the
-    parent chain, on the first {!path} call for that id, and memoised:
-    paths nobody reads never get a list, and repeated reads share one
-    allocation.
+    path — so a table's size is linear in the number of distinct
+    prefixes it has seen. Trie edges are array slots: a rank table built
+    once per table ([n²] ints, 80 KB at n = 100) numbers each node's
+    neighbours, and a trie node gets a child array of [degree (last)]
+    slots, indexed by that rank, on its first child (the root's has [n]
+    slots, indexed by node). An extension to a non-neighbour of the last
+    node — only fabricated annotations make one — goes to one int-keyed
+    overflow table instead. The origin-first list of a path is built
+    lazily, from the parent chain, on the first {!path} call for that
+    id, and memoised: paths nobody reads never get a list, and repeated
+    reads share one allocation.
 
     A table is mutable and belongs to one domain. The flood stores of
     one execution may share one table (see {!Flood.create}), so that a
@@ -56,12 +61,20 @@ val intern : t -> int list -> id
     [0 .. size g - 1]. *)
 
 val extend : t -> id -> int -> id
-(** [extend t pid u] is the id of [path pid · u] in O(1) (one probe of
-    the table's int-keyed edge table). Stable: extending the same id by
-    the same node always returns the same id. {!invalid} when [pid] is
-    {!invalid} or [u] is out of range.
+(** [extend t pid u] is the id of [path pid · u] in O(1): a read of the
+    rank table and one of [pid]'s child array when [u] neighbours the
+    path's last node (or [pid] is {!root}), else one probe of the
+    overflow table. Stable: extending the same id by the same node
+    always returns the same id. {!invalid} when [pid] is {!invalid} or
+    [u] is out of range.
     @raise Invalid_argument if [pid] is past the last id this table
     issued; the table is left unchanged. *)
+
+val find : t -> id -> int -> id
+(** [find t pid u] is [extend t pid u] if that path is already interned,
+    and {!invalid} otherwise (also for an unissued or invalid [pid] and
+    an out-of-range [u]). Never interns, never raises, never allocates
+    on the neighbour path. *)
 
 (** {1 Cached properties}
 

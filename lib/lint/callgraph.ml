@@ -31,7 +31,10 @@
    the typedtree as [Lbc_campaign.Clock.now_s] (the wrapped-alias path)
    while the defining unit is named [Lbc_campaign__Clock]; both spellings
    normalise to the same key. Local module aliases
-   ([module C = Lbc_campaign.Clock]) are expanded one level. References
+   ([module C = Lbc_campaign.Clock]) are expanded, and an alias of an
+   alias ([module Campaign = Lbc_campaign] then
+   [module Scenario = Campaign.Scenario]) is stored already expanded, so
+   a chain resolves in one step. References
    that resolve to nothing we know (parameters, let-locals, functor
    internals) are dropped — the analysis under-approximates through
    higher-order flow and says so in its rule descriptions.
@@ -379,6 +382,18 @@ let summarize ~unit_names (u : Cmt_load.unit_info) =
     | None -> ()
   in
   let uctx = { idents = Hashtbl.create 32; aliases = Hashtbl.create 8 } in
+  (* The components of [p] with a local alias at its head expanded;
+     aliases are recorded through this, so their components never start
+     with another local alias. *)
+  let expand (p : Path.t) =
+    let comps = path_components p in
+    match (path_head p, comps) with
+    | Some head, _ :: rest when not (Ident.global head) -> (
+        match Hashtbl.find_opt uctx.aliases (Ident.unique_name head) with
+        | Some alias_comps -> alias_comps @ rest
+        | None -> comps)
+    | _ -> comps
+  in
   let pending = ref [] in
   let add_pending ~prefix name loc expr mut atomic dls =
     let qname = if prefix = "" then name else prefix ^ "." ^ name in
@@ -453,12 +468,11 @@ let summarize ~unit_names (u : Cmt_load.unit_info) =
     | Typedtree.Tmod_ident (p, _) -> (
         match alias_id with
         | Some id ->
-            Hashtbl.replace uctx.aliases (Ident.unique_name id)
-              (path_components p)
+            Hashtbl.replace uctx.aliases (Ident.unique_name id) (expand p)
         | None -> ())
     | Typedtree.Tmod_apply (f, arg, _) ->
         (match arg.Typedtree.mod_desc with
-        | Typedtree.Tmod_ident (p, _) -> note_functor_arg (path_components p)
+        | Typedtree.Tmod_ident (p, _) -> note_functor_arg (expand p)
         | _ -> ());
         module_expr ~prefix ~alias_id:None f
     | _ -> ()
@@ -473,14 +487,11 @@ let summarize ~unit_names (u : Cmt_load.unit_info) =
     match path_head p with
     | None -> None
     | Some head ->
-        if Ident.global head then canonical ~unit_names (path_components p)
-        else (
-          match Hashtbl.find_opt uctx.aliases (Ident.unique_name head) with
-          | Some alias_comps -> (
-              match path_components p with
-              | _ :: rest -> canonical ~unit_names (alias_comps @ rest)
-              | [] -> None)
-          | None -> Hashtbl.find_opt uctx.idents (Ident.unique_name head))
+        if
+          Ident.global head
+          || Hashtbl.mem uctx.aliases (Ident.unique_name head)
+        then canonical ~unit_names (expand p)
+        else Hashtbl.find_opt uctx.idents (Ident.unique_name head)
   in
   let defs =
     List.map

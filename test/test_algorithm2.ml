@@ -400,34 +400,68 @@ let prop_scope_transparent =
    makes, through one scope shared by the honest nodes in node order as a
    run shares it, is answered again by the list-keyed reference, which
    has no scope and compares lists by structure only. *)
+let agrees_with_reference g ~f ~(t : A2.traced) =
+  let scope = A2.create_scope g in
+  List.for_all
+    (fun v ->
+      match t.A2.store2.(v) with
+      | None -> true
+      | Some store2 ->
+          let r =
+            Attribution_reference.create g ~me:v ~heard:t.A2.heard.(v) ~store2
+          in
+          let ok = ref true in
+          let answered q a =
+            let want =
+              match q with
+              | Sent (z, m) -> Attribution_reference.sent r ~f ~z ~m
+              | Silent (z, path) ->
+                  Attribution_reference.silent_on r ~f ~z ~path
+            in
+            if a <> want then ok := false
+          in
+          ignore (plain_scan ~scope ~answered g ~f ~t v);
+          !ok)
+    (G.nodes g)
+
 let prop_attribution_reference =
   let arb, kinds = scope_case in
   QCheck.Test.make ~name:"attribution = list-keyed reference" ~count:24 arb
     (fun case ->
       let g, f, t = scope_run kinds case in
-      let scope = A2.create_scope g in
-      List.for_all
-        (fun v ->
-          match t.A2.store2.(v) with
-          | None -> true
-          | Some store2 ->
-              let r =
-                Attribution_reference.create g ~me:v ~heard:t.A2.heard.(v)
-                  ~store2
-              in
-              let ok = ref true in
-              let answered q a =
-                let want =
-                  match q with
-                  | Sent (z, m) -> Attribution_reference.sent r ~f ~z ~m
-                  | Silent (z, path) ->
-                      Attribution_reference.silent_on r ~f ~z ~path
-                in
-                if a <> want then ok := false
-              in
-              ignore (plain_scan ~scope ~answered g ~f ~t v);
-              !ok)
-        (G.nodes g))
+      agrees_with_reference g ~f ~t)
+
+(* Does a scope shared as a run shares it (honest nodes in order, each
+   node's records in arrival order) meet some honest reporter's list
+   first as a flipped copy? Then that copy's index is built, and its
+   paths interned, before the genuine list's. *)
+let flipped_copy_met_first (t : A2.traced) =
+  let genuine y = Option.bind t.A2.store2.(y) Lbc_flood.Flood.own_value in
+  let met = Hashtbl.create 8 and found = ref false in
+  Array.iter
+    (Option.iter (fun store2 ->
+         Lbc_flood.Flood.iter_records store2
+           (fun ~origin ~path:_ ~sans_me:_ ~value ->
+             if not (Hashtbl.mem met origin) then begin
+               Hashtbl.replace met origin ();
+               match genuine origin with
+               | Some l when l <> value -> found := true
+               | _ -> ()
+             end)))
+    t.A2.store2;
+  !found
+
+let test_flipped_copy_first () =
+  let g = B.fig1b () in
+  let t =
+    A2.run_traced ~g ~f:2 ~inputs:(Array.make 8 Bit.Zero)
+      ~faulty:(Nodeset.of_list [ 0; 4 ])
+      ~strategy:(fun _ -> S.Flip_forwards) ()
+  in
+  check "a report list is met first as a flipped copy" true
+    (flipped_copy_met_first t);
+  check "attribution = list-keyed reference" true
+    (agrees_with_reference g ~f:2 ~t)
 
 (* The properties above are only meaningful on fig1b if double-flipped
    report lists really occur: some node must hold two records from one
@@ -481,6 +515,8 @@ let () =
       ( "scope",
         [
           Alcotest.test_case "double flip occurs" `Quick test_double_flip_occurs;
+          Alcotest.test_case "flipped copy met first" `Quick
+            test_flipped_copy_first;
         ]
         @ qt [ prop_scope_transparent; prop_attribution_reference ] );
       ("properties", qt [ prop_random_f1_cycleplus ]);

@@ -249,6 +249,14 @@ let test_x1_dead_vs_used () =
       check_int "flags [dead] only" 4 f.Rules.line
   | fs -> Alcotest.failf "expected one X1, got [%s]" (summarize fs)
 
+let test_x1_alias_chain () =
+  (* [chained] (line 5) is used only as [X1.chained], where
+     [module Deepfix = Lbc_deepfix] and [module X1 = Deepfix.X1_dead] *)
+  check "no X1 on a use through an alias of an alias" false
+    (List.exists
+       (fun (f : Rules.finding) -> f.Rules.line = 5)
+       (kept_in (fixture_file "x1_dead.mli")))
+
 let test_deep_rules_baselinable () =
   (* an E1 finding can be grandfathered via the baseline machinery *)
   let baseline =
@@ -372,5 +380,7 @@ let () =
       ( "x1",
         [
           Alcotest.test_case "dead vs used export" `Quick test_x1_dead_vs_used;
+          Alcotest.test_case "use through an alias chain" `Quick
+            test_x1_alias_chain;
         ] );
     ]

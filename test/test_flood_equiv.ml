@@ -6,8 +6,10 @@
    broadcast-bound strategy) and chaos-perturbed delivery, not just
    clean floods — and must produce identical forwards each round and
    identical query results afterwards, whether each interned store has
-   its own path intern table or all share one. Also checks the packing
-   certificate cache against fresh counts. *)
+   its own path intern table or all share one. A second property feeds
+   single messages, each delivered twice, to stores sharing one table,
+   so every rule-(ii) dedup decision is compared one by one. Also checks
+   the packing certificate cache against fresh counts. *)
 
 module Flood = Lbc_flood.Flood
 module Packing = Lbc_flood.Packing
@@ -140,6 +142,64 @@ let equivalence =
         [ None; Some (Lbc_flood.Path_intern.create g) ];
       true)
 
+(* Rule (ii) on a shared intern table: the dedup key is a trie id that
+   every store of the table shares, but each store must remember only
+   what it received itself. Messages are random walks w0..wk: the wire
+   path w0..w(k-1) transmitted by wk to a random node, mostly in the
+   round its length asks for; walks that revisit a node, receivers that
+   are not wk's neighbours and off-by-one rounds exercise rule (i), and
+   receivers on the path rule (iii). Each message goes to its receiver
+   twice (the second copy is a dedup) and then to a second receiver.
+   Every [handle] result, the default synthesis and the records must
+   equal the reference's. *)
+let handle_shared =
+  QCheck.Test.make ~name:"shared-table dedup decisions = reference"
+    ~count:200
+    QCheck.(
+      triple (int_range 4 8) (int_bound 1000)
+        (list_of_size (Gen.int_range 1 40)
+           (quad (int_bound 1000) (int_bound 6) (int_bound 1000)
+              (int_range (-1) 4))))
+    (fun (n, seed, msgs) ->
+      let g = B.random_augmented_circulant ~seed ~n ~k:2 ~extra:0.3 in
+      let paths = Lbc_flood.Path_intern.create g in
+      let stores =
+        Array.init n (fun me ->
+            ( Flood.create g ~me ~vcompare:Int.compare ~paths ~initiate:me
+                ~default:(-1) (),
+              Ref.create g ~me ~initiate:me ~default:(-1) () ))
+      in
+      let deliver v ~round ~from m =
+        let st, rf = stores.(v) in
+        if Flood.handle st ~round ~from m <> Ref.handle rf ~round ~from m then
+          QCheck.Test.fail_reportf "node %d: handle diverges from %d" v from
+      in
+      List.iteri
+        (fun i (w0, k, walk, jitter) ->
+          let st = Random.State.make [| seed; walk |] in
+          let pick l = List.nth l (Random.State.int st (List.length l)) in
+          let rec go acc u k =
+            if k = 0 then (List.rev acc, u)
+            else go (u :: acc) (pick (G.neighbor_list g u)) (k - 1)
+          in
+          let path, from = go [] (w0 mod n) k in
+          let m = { Flood.value = i; path } in
+          let round = List.length path + 1 + if jitter > 2 then 0 else jitter in
+          let v = pick (G.neighbor_list g from) in
+          let v = if jitter = -1 then (v + 1) mod n else v in
+          deliver v ~round ~from m;
+          deliver v ~round ~from m;
+          deliver ((v + 1 + (walk mod (n - 1))) mod n) ~round ~from m)
+        msgs;
+      Array.iter
+        (fun (st, rf) ->
+          if Flood.synthesize_defaults st <> Ref.synthesize_defaults rf then
+            QCheck.Test.fail_reportf "node %d: defaults diverge" (Flood.me st);
+          if Flood.records st <> Ref.records rf then
+            QCheck.Test.fail_reportf "node %d: records diverge" (Flood.me st))
+        stores;
+      true)
+
 (* The packing certificate cache must be a pure memo of Packing.count:
    same result as a fresh computation, for any interleaving of queries
    and limits, and a repeated query must hit. *)
@@ -182,6 +242,7 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest equivalence;
+          QCheck_alcotest.to_alcotest handle_shared;
           QCheck_alcotest.to_alcotest cache_matches_fresh;
         ] );
     ]

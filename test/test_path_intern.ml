@@ -2,9 +2,11 @@
    facts agree with the list functions and Graph.is_path, ids are stable,
    and invalid ids stay invalid. Paths are random lists over a range a
    little wider than the graph's nodes, so repeated nodes, missing edges
-   and out-of-range ids all occur. *)
+   and out-of-range ids all occur. A lock-step property drives the
+   retained hashtable trie (path_intern_reference) alongside. *)
 
 module P = Lbc_flood.Path_intern
+module R = Path_intern_reference
 module Packing = Lbc_flood.Packing
 module B = Lbc_graph.Builders
 module G = Lbc_graph.Graph
@@ -101,6 +103,88 @@ let prop_extend_stable =
           && P.extend t id n = P.invalid)
         paths)
 
+(* One step of a lock-step run: intern a list, or extend a raw id (any
+   int, so unissued, negative and invalid ids all occur) by a raw node. *)
+type op = Intern of int list | Extend of int * int
+
+let arb_ops =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun n ->
+      int_range 0 9999 >>= fun seed ->
+      let node = int_range (-2) (n + 1) in
+      list_size (int_range 1 60)
+        (frequency
+           [
+             (1, list_size (int_range 0 (n + 2)) node >|= fun l -> Intern l);
+             (3, pair (int_range (-2) 40) node >|= fun (p, u) -> Extend (p, u));
+           ])
+      >|= fun ops -> (B.random_gnp ~seed n 0.5, ops))
+  in
+  let print (g, ops) =
+    Format.asprintf "%a@ %s" G.pp g
+      (String.concat "; "
+         (List.map
+            (function
+              | Intern l ->
+                  "intern [" ^ String.concat "," (List.map string_of_int l) ^ "]"
+              | Extend (p, u) -> Printf.sprintf "extend %d %d" p u)
+            ops))
+  in
+  QCheck.make ~print gen
+
+let outcome f = match f () with x -> Ok x | exception e -> Error e
+
+(* Every query on every id the run could have touched, both tables. *)
+let same_answers g t r ~top =
+  let n = G.size g in
+  List.for_all
+    (fun id ->
+      P.length t id = R.length r id
+      && P.is_path t id = R.is_path r id
+      && outcome (fun () -> P.first t id) = outcome (fun () -> R.first r id)
+      && outcome (fun () -> P.last t id) = outcome (fun () -> R.last r id)
+      && outcome (fun () -> P.mask t id) = outcome (fun () -> R.mask r id)
+      && outcome (fun () -> P.path t id) = outcome (fun () -> R.path r id)
+      && List.for_all
+           (fun u -> P.mem t id u = R.mem r id u)
+           (List.init (n + 3) (fun u -> u - 1)))
+    (List.init (top + 4) (fun id -> id - 2))
+
+let prop_reference =
+  QCheck.Test.make ~name:"lock-step with the hashtable trie reference"
+    ~count:300 arb_ops (fun (g, ops) ->
+      let t = P.create g and r = R.create g in
+      (* The number of ids issued so far: the reference's are dense. *)
+      let count = ref 1 in
+      let issued () =
+        while R.length r !count >= 0 do
+          incr count
+        done;
+        !count
+      in
+      let step op =
+        let issued = issued () in
+        match op with
+        | Intern l ->
+            outcome (fun () -> P.intern t l) = outcome (fun () -> R.intern r l)
+        | Extend (pid, u) -> (
+            let known = P.find t pid u in
+            let a = outcome (fun () -> P.extend t pid u) in
+            a = outcome (fun () -> R.extend r pid u)
+            &&
+            (* [find] answers an interned extension and nothing else *)
+            match a with
+            | Ok id when id <> P.invalid ->
+                known = if id >= issued then P.invalid else id
+            | _ -> known = P.invalid)
+      in
+      List.iteri
+        (fun i op ->
+          if not (step op) then QCheck.Test.fail_reportf "step %d diverges" i)
+        ops;
+      same_answers g t r ~top:(issued ()))
+
 let test_root () =
   let g = B.cycle 4 in
   let t = P.create g in
@@ -151,5 +235,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_round_trip; prop_facts; prop_extend_stable ] );
+          [ prop_round_trip; prop_facts; prop_extend_stable; prop_reference ]
+      );
     ]
