@@ -868,13 +868,15 @@ let e17 () =
      <> Campaign.Artifact.deterministic_string a_steal
    then failwith "E17: resumed artifact diverges from uninterrupted run");
   (* Result cache: a cold run populates the directory, an overlapping
-     re-run answers every scenario from it. *)
+     re-run answers every scenario from it. The cold run is serial so
+     that its miss count is one per distinct scenario: on several
+     domains two copies of one scenario can run at once and both miss. *)
   let cachedir =
     let probe = Filename.temp_file "lbc_e17_cache" "" in
     Sys.remove probe;
     probe
   in
-  let a_cold = run ~cache:cachedir ~domains:2 (skew ()) in
+  let a_cold = run ~cache:cachedir ~domains:1 (skew ()) in
   let a_warm = run ~cache:cachedir ~domains:2 (skew ()) in
   let info (a : Campaign.Artifact.t) =
     a.Campaign.Artifact.run.Campaign.Artifact.cache
@@ -903,7 +905,7 @@ let e17 () =
   Printf.printf "  %-40s %10d\n" "tasks stolen" steals;
   Printf.printf "  %-40s %10d\n" "journal records adopted on resume" recovered;
   Printf.printf "  %-40s %10d\n" "cache hits (warm re-run)" (info a_warm).Campaign.Artifact.hits;
-  Printf.printf "  %-40s %10d\n" "cache misses (cold run)" (info a_cold).Campaign.Artifact.misses
+  Printf.printf "  %-40s %10d\n" "cache misses (cold run, 1 domain)" (info a_cold).Campaign.Artifact.misses
 
 let () =
   Printf.printf

@@ -41,8 +41,9 @@
 #     and show packing.cache_hit > 0 (the certificate cache engages);
 #   - the paper-experiment harness: `bench/main.exe --quick` must exit 0,
 #     print its completion line and write no file into its working
-#     directory (E17's kill/resume and cache identities run here), and
-#     an unknown argument must exit 2;
+#     directory (E17's kill/resume and cache identities run here), its
+#     E17 cold-run cache misses must equal the grid's distinct scenario
+#     count, and an unknown argument must exit 2;
 #   - an output-identity gate on four lbcbench workloads: one pass each
 #     of cycle64-a2 and fig1b-a2 (Algorithm 2), cycle5-exhaustive
 #     (Algorithms 1 and 2 on the E1 grid) and durable-chaos (chaos,
@@ -443,11 +444,17 @@ grep -q '^All experiments complete\.$' "$tmp/harness.txt" \
 [ -z "$(ls -A "$tmp/harness")" ] \
   || { echo "FAIL: bench/main.exe --quick left files behind:";
        ls -A "$tmp/harness"; exit 1; }
+# E17's cold cache pass runs on one domain, so it misses exactly once
+# per distinct scenario of the quick skewed grid (cycle sizes 5, 7, 25).
+misses=$(sed -n 's/^  cache misses (cold run, 1 domain) *\([0-9][0-9]*\)$/\1/p' \
+  "$tmp/harness.txt")
+[ "$misses" = 3 ] \
+  || { echo "FAIL: E17 cold-run cache misses '$misses', expected 3"; exit 1; }
 rc=0
 "$harness" --bogus > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] \
   || { echo "FAIL: bench/main.exe --bogus exited $rc, expected 2"; exit 1; }
-echo "harness OK: quick run complete, no files written, --bogus exits 2"
+echo "harness OK: quick run complete, E17 cold misses $misses, no files written, --bogus exits 2"
 
 echo "== legacy artifacts rejected =="
 for v in 1 2 3 4; do

@@ -147,31 +147,31 @@ let junk st g ~me ~input ~flip =
   ignore me;
   { Flood.value; path }
 
-let fstep kind ~g ~me ~vcompare ~input ~default ~flip ~seed =
+let fstep kind ~g ~paths ~me ~vcompare ~input ~default ~flip ~seed =
   match kind with
   | Silent -> fun ~round:_ ~inbox:_ -> []
   | Honest_behavior ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       hooked_step store ~alive:(fun _ -> true) ~rewrite:Option.some
         ~extra:no_extra
   | Crash_at r ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       hooked_step store
         ~alive:(fun round -> round < r)
         ~rewrite:Option.some ~extra:no_extra
   | Lie ->
-      let store = Flood.create g ~me ~vcompare ~initiate:(flip input) ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:(flip input) ~default () in
       hooked_step store ~alive:(fun _ -> true) ~rewrite:Option.some
         ~extra:no_extra
   | Flip_forwards ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let rewrite (m : 'v Flood.wire) =
         if m.Flood.path = [] then Some m
         else Some { m with Flood.value = flip m.Flood.value }
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Flip_from targets ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let rewrite (m : 'v Flood.wire) =
         if Nodeset.mem (origin_of me m) targets && m.Flood.path <> [] then
           Some { m with Flood.value = flip m.Flood.value }
@@ -179,21 +179,21 @@ let fstep kind ~g ~me ~vcompare ~input ~default ~flip ~seed =
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Omit_from targets ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let rewrite (m : 'v Flood.wire) =
         if Nodeset.mem (origin_of me m) targets && m.Flood.path <> [] then None
         else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Omit_sampled salt ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let st = Random.State.make [| seed; me; salt |] in
       let rewrite (m : 'v Flood.wire) =
         if m.Flood.path <> [] && Random.State.bool st then None else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Spurious k ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let st = Random.State.make [| seed; me |] in
       let extra ~round =
         ignore round;
@@ -210,7 +210,7 @@ let fstep kind ~g ~me ~vcompare ~input ~default ~flip ~seed =
       (* Per-neighbour inconsistency: run an honest store to decide what to
          relay, then unicast true values to even-indexed neighbours and
          flipped ones to odd-indexed neighbours. *)
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let honest = Flood.proc store in
       let nbrs = Lbc_graph.Graph.neighbor_list g me in
       fun ~round ~inbox ->

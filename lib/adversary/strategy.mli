@@ -63,6 +63,7 @@ val of_string : string -> (kind, string) result
 val fstep :
   kind ->
   g:Lbc_graph.Graph.t ->
+  paths:Lbc_flood.Path_intern.t ->
   me:int ->
   vcompare:('v -> 'v -> int) ->
   input:'v ->
@@ -76,4 +77,10 @@ val fstep :
     order handed to the internal flood stores (see
     {!Lbc_flood.Flood.create}), [flip] an involution on values used by
     the tampering strategies, and [seed] makes the randomised strategies
-    deterministic. *)
+    deterministic. [paths] is the intern table of the internal flood
+    store: pass the execution's table, the one its honest stores share,
+    so that a faulty node interns nothing the honest nodes have not (its
+    store would otherwise build and grow a private table per flood). The
+    table is a memo of path facts, so sharing it changes no transmission.
+    @raise Invalid_argument if [paths] was created for another graph
+    and the kind keeps a flood store. *)

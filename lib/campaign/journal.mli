@@ -46,9 +46,6 @@ exception Killed of { appended : int }
 (** Raised by {!append} when the writer's kill point fires; [appended] is
     the number of records durably written before the simulated crash. *)
 
-val crc32 : string -> int
-(** IEEE CRC32 (polynomial [0xEDB88320]), exposed for tests. *)
-
 val recover : path:string -> header:header -> record list * recovery
 (** Load every intact record and truncate any torn tail in place (also
     deleting the file entirely when it belongs to a different grid), so a

@@ -10,14 +10,18 @@ module Strategy = Lbc_adversary.Strategy
 type report = int * Bit.t Flood.wire
 (* (z, m): "node z transmitted message m in phase 1". *)
 
+type claims = int array
+(* A phase-2 report list as sorted, duplicate-free claim keys (see
+   [claim_key]). *)
+
 type node_report = { type_a : bool; detected : Nodeset.t; decision : Bit.t }
 
 type traced = {
   outcome : Spec.outcome;
   node_reports : node_report option array;
   store1 : Bit.t Flood.store option array;
-  heard : (int * Bit.t Flood.wire) list array;
-  store2 : report list Flood.store option array;
+  heard : report list array;
+  store2 : claims Flood.store option array;
 }
 
 (* Phase 1 runs one extra delivery round: a relay accepted in the final
@@ -78,21 +82,112 @@ let with_defaults g ~who heard =
   heard
   @ List.map (fun w -> (w, { Flood.value = Bit.default; path = [] })) missing
 
-(* Same order as the polymorphic compare this replaces: sender, then wire
-   value, then wire path. All three fields must participate so that
-   [sort_uniq] still deduplicates exact duplicates only. *)
-let compare_report (z1, (m1 : Bit.t Flood.wire)) (z2, (m2 : Bit.t Flood.wire)) =
-  match Int.compare z1 z2 with
-  | 0 -> (
-      match Bit.compare m1.Flood.value m2.Flood.value with
-      | 0 -> Lbc_sim.Det.compare_int_list m1.Flood.path m2.Flood.path
-      | c -> c)
-  | c -> c
+(* Phase-2 claims.
 
-let compare_reports = List.compare compare_report
+   A report list is flooded as the sorted, duplicate-free array of its
+   entries' claim keys: ((pid * n + z) * 2 + value), where pid numbers
+   the entry's path in the execution's intern table ([P.intern_total]:
+   fabricated paths with an out-of-range node get ids <= -2) and n is
+   the graph size. The key is injective for 0 <= z < n, so two lists are
+   equal as sets iff their arrays are equal, and a claim is in a list iff
+   its key is in the array. A key only means something in the table that
+   made it: every flood store and scope of one execution uses the same
+   one. *)
 
-let reports_of g ~who heard : report list =
-  List.sort_uniq compare_report (with_defaults g ~who heard)
+let key_of ~n ~z ~pid = (pid * n) + z
+let claim_key ~n ~z ~value ~pid = (key_of ~n ~z ~pid * 2) + Bit.to_int value
+
+let compare_claims (a : claims) (b : claims) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i = la || i = lb then Int.compare la lb
+    else match Int.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
+  in
+  if a == b then 0 else go 0
+
+let encode sp (reports : report list) : claims =
+  let n = G.size (P.graph sp) in
+  let a = Array.make (List.length reports) 0 in
+  List.iteri
+    (fun i ((z, m) : report) ->
+      if z < 0 || z >= n then invalid_arg "Algorithm2: reporter out of range";
+      a.(i) <-
+        claim_key ~n ~z ~value:m.Flood.value
+          ~pid:(P.intern_total sp m.Flood.path))
+    reports;
+  (* [Array.stable_sort] is a merge sort; the heap sort of [Array.sort]
+     is about 1.6 times slower on 1,300 random ints, a fig1b list. *)
+  Array.stable_sort Int.compare a;
+  let len = Array.length a in
+  if len = 0 then a
+  else begin
+    let w = ref 1 in
+    for r = 1 to len - 1 do
+      if a.(r) <> a.(!w - 1) then begin
+        a.(!w) <- a.(r);
+        incr w
+      end
+    done;
+    if !w = len then a else Array.sub a 0 !w
+  end
+
+let decode sp (claims : claims) : report list =
+  let n = G.size (P.graph sp) in
+  Array.fold_right
+    (fun k acc ->
+      let x = k asr 1 in
+      let z = ((x mod n) + n) mod n in
+      let path = P.path_total sp ((x - z) / n) in
+      (z, { Flood.value = Bit.of_int (k land 1); path }) :: acc)
+    claims []
+
+(* The first index whose key is at least [k]. *)
+let lower_bound (claims : claims) k =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if claims.(mid) < k then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length claims)
+
+let has_claim (claims : claims) k =
+  let i = lower_bound claims k in
+  i < Array.length claims && claims.(i) = k
+
+(* Is some claim of key (z, path) [key] in the array: 2·key or
+   2·key + 1? Both sort right after everything below 2·key. *)
+let has_key (claims : claims) key =
+  let i = lower_bound claims (2 * key) in
+  i < Array.length claims && claims.(i) <= (2 * key) + 1
+
+let mem_claim sp claims ~z ~(m : Bit.t Flood.wire) =
+  has_claim claims
+    (claim_key ~n:(G.size (P.graph sp)) ~z ~value:m.Flood.value
+       ~pid:(P.intern_total sp m.Flood.path))
+
+let mem_key sp claims ~z ~path =
+  has_key claims
+    (key_of ~n:(G.size (P.graph sp)) ~z ~pid:(P.intern_total sp path))
+
+(* Flipping every value flips each key's low bit. That keeps the order
+   of keys with different (z, path) halves; only a pair 2k, 2k + 1 (both
+   values claimed, adjacent in the array) comes out swapped. *)
+let flip_claims (claims : claims) : claims =
+  let a = Array.map (fun k -> k lxor 1) claims in
+  let i = ref 0 in
+  while !i < Array.length a - 1 do
+    if a.(!i) > a.(!i + 1) then begin
+      let k = a.(!i) in
+      a.(!i) <- a.(!i + 1);
+      a.(!i + 1) <- k;
+      i := !i + 2
+    end
+    else incr i
+  done;
+  a
+
+let claims_of sp g ~who heard = encode sp (with_defaults g ~who heard)
 
 (* A faulty node's heard log, reconstructed from the recorded phase-1
    transcript (it hears every broadcast by a neighbour); like honest
@@ -115,25 +210,25 @@ let heard_from_transcript g ~who transcript =
 (* Per-execution scope.
 
    Every honest node runs the same attribution and discovery procedure
-   over the same graph, and the phase-2 report lists it indexes are
-   mostly the same few objects (each reporter's list, forwarded
-   unchanged by honest relays, plus the faulty relays' flipped copies).
-   A scope holds what depends only on the graph and on those lists, so
-   one run builds it once instead of once per honest node:
+   over the same graph, and the phase-2 report lists it reads are mostly
+   the same few objects (each reporter's claims, forwarded unchanged by
+   honest relays, plus the faulty relays' flipped copies). A scope holds
+   what depends only on the graph and on those lists, so one run builds
+   it once instead of once per honest node:
 
-   - the claim/key index of each distinct report list, canonicalised by
-     structural equality (a list that was flipped twice is a different
-     allocation but the same index): its claims and its (z, path) keys
-     as ints (see [claim_key]), each report path interned in [sp], so a
-     membership query is one int-table probe; and, per reporter, the
-     list objects already met from it with their indexes (see
-     [index_of]);
+   - the execution's intern table [sp], in which every report list's
+     claim keys were made;
+   - the canonical copy of each distinct report list, by structural
+     equality (a list that was flipped twice is a different allocation
+     but the same claims), and, per reporter, the list objects already
+     met from it with their canonical copies (see [canonical]);
+   - per node, the claims of its own phase-1 observations, by the
+     physical [heard] list they were encoded from: [run_traced] encodes
+     them for phase 2 and attribution reads them back;
    - the 2f disjoint w→u path families of fault discovery, each with its
      scan steps interned in [sp], so that a scan prefix is an int and its
-     list is built once. In a run, [sp] is the table the honest flood
-     stores intern into, so a prefix's list is the very object the
-     phase-1 relays transmitted and a claim lookup compares it without
-     walking it;
+     list is built once. A prefix's list is the very object the phase-1
+     relays transmitted;
    - the graph's reusable disjoint-path network, which every family
      query runs on;
    - the scratch of [discover]'s prefix memo: per flipped value, an int
@@ -141,16 +236,20 @@ let heard_from_transcript g ~who transcript =
      [discover] call that wrote it (its epoch), so it carries nothing
      from one node to the next.
 
-   Nothing in a scope depends on a node's own observations, so sharing
-   one cannot change a result; the per-node memo tables (and the packing
-   certificate cache, whose hit/miss counters are observable) stay per
-   node. *)
+   Nothing in a scope depends on a node's own observations except the
+   memo of their claims, which is keyed by node and by the observation
+   list itself, so sharing one cannot change a result; the per-node memo
+   tables (and the packing certificate cache, whose hit/miss counters
+   are observable) stay per node. *)
 
-(* The claims of one report list, by int key (see [claim_key]). *)
-type index = {
-  claims : unit Itbl.t; (* full (z, m) claims *)
-  keys : unit Itbl.t; (* (z, path) keys, for omission *)
-}
+module Claims_tbl = Hashtbl.Make (struct
+  type t = claims
+
+  let equal a b = compare_claims a b = 0
+
+  let hash (a : t) =
+    Array.fold_left (fun h k -> (h * 31) + k) (Array.length a) a land max_int
+end)
 
 (* One discovery path: the route w..u, its nodes, and the ids of its
    prefixes: [prefixes.(i)] is the id of the first [i] nodes, so node
@@ -162,12 +261,12 @@ type scope = {
   g : G.t;
   n : int;
   sp : P.t;
-  mutable exotic : (int list * int) list;
-      (* queried paths that leave the node range, which [sp] maps to one
-         invalid id: numbered -2, -3, ... *)
-  indexes : (report list, index) Hashtbl.t;
-  met : (report list * index) list array;
-      (* by reporter: the list objects met from it, newest first *)
+  canon : claims Claims_tbl.t; (* structural -> canonical *)
+  met : (claims * claims) list array;
+      (* by reporter: the list objects met from it and their canonical
+         copies, newest first *)
+  own : (report list * claims) list array;
+      (* by node: its heard lists and their claims *)
   families : scan_path list Itbl.t; (* by (limit, w, u) *)
   uv : Lbc_graph.Disjoint.network;
   mutable memo : int array array;
@@ -175,101 +274,60 @@ type scope = {
   mutable epoch : int; (* of the running [discover] call *)
 }
 
-let scope_over g sp =
+let create_scope sp =
+  let g = P.graph sp in
   {
     g;
     n = G.size g;
     sp;
-    exotic = [];
-    indexes = Hashtbl.create 64;
+    canon = Claims_tbl.create 64;
     met = Array.make (G.size g) [];
+    own = Array.make (G.size g) [];
     families = Itbl.create 256;
     uv = Lbc_graph.Disjoint.network g;
     memo = [| [||]; [||] |];
     epoch = 0;
   }
 
-let create_scope g = scope_over g (P.create g)
+(* The claims of [who]'s own phase-1 observations [heard], encoded once
+   per list object. *)
+let own_claims scope ~who heard =
+  match List.assq_opt heard scope.own.(who) with
+  | Some claims -> claims
+  | None ->
+      let claims = claims_of scope.sp scope.g ~who heard in
+      scope.own.(who) <- (heard, claims) :: scope.own.(who);
+      claims
 
-let resolve_scope g = function
-  | None -> create_scope g
-  | Some s ->
-      if s.g != g && not (G.equal s.g g) then
-        invalid_arg "Algorithm2: scope built for another graph";
-      s
+let pid_of scope path = P.intern_total scope.sp path
 
-(* A total, injective numbering of queried and reported paths. *)
-let pid_of scope path =
-  let pid = P.intern scope.sp path in
-  if pid <> P.invalid then pid
-  else
-    match
-      List.find_opt
-        (fun (l, _) -> Lbc_sim.Det.compare_int_list l path = 0)
-        scope.exotic
-    with
-    | Some (_, pid) -> pid
-    | None ->
-        let pid = -2 - List.length scope.exotic in
-        scope.exotic <- (path, pid) :: scope.exotic;
-        pid
-
-(* (z, path) and (z, value, path) as ints. Injective for 0 <= z < n and
-   any path id, negative ones included; queried senders are always in
-   range (an out-of-range one raises [Invalid_node] first), and so are
-   reported ones (a report's sender is a neighbour of its reporter). *)
-let key_of scope ~z ~pid = (pid * scope.n) + z
-let claim_key scope ~z ~value ~pid = (key_of scope ~z ~pid * 2) + Bit.to_int value
-
-(* [pid_of] is injective on paths, so a claim is in the list iff its
-   int key is in [claims]: the same answer as the structural lookup. *)
-let build_index scope (reports : report list) =
-  let len = List.length reports + 1 in
-  let idx = { claims = Itbl.create len; keys = Itbl.create len } in
-  List.iter
-    (fun ((z, m) : report) ->
-      let pid = pid_of scope m.Flood.path in
-      Itbl.replace idx.claims (claim_key scope ~z ~value:m.Flood.value ~pid) ();
-      Itbl.replace idx.keys (key_of scope ~z ~pid) ())
-    reports;
-  idx
-
-let mem_claim scope idx ~z ~value ~pid =
-  Itbl.mem idx.claims (claim_key scope ~z ~value ~pid)
-
-let mem_key scope idx ~z ~pid = Itbl.mem idx.keys (key_of scope ~z ~pid)
-
-(* The index of the report list [reports] that a record from [reporter]
-   carries.
+(* The canonical copy of the report list [claims] that a record from
+   [reporter] carries.
 
    A run's records carry few distinct list objects: honest relays forward
    a value allocation unchanged, and a tampering relay reuses one flipped
-   copy per list (see [memoized_flip_reports]). So a lookup first asks the
+   copy per list (see [memoized_flip]). So a lookup first asks the
    reporter's own short list of objects met so far, by physical identity;
    its cost depends on how many variants of one reporter's list circulate,
    not on n or on the lists' length. Only a list object met for the first
-   time goes to [indexes], whose structural lookup is expensive: the
-   polymorphic hash reads just the first few entries of a list, and under
-   local broadcast reporters that share a neighbour heard the same
-   transmissions first, so their lists share buckets and each probe
-   compares deep into other reporters' lists. That lookup still lets a
-   double-flipped copy find its original's index. Lists are immutable, so
-   the identity hit returns exactly what the structural lookup would. *)
-let index_of scope ~reporter reports =
+   time goes to [canon], which hashes and compares whole arrays. That
+   lookup still lets a double-flipped copy find its original. Claims are
+   never mutated once flooded, so the identity hit returns exactly what
+   the structural lookup would. *)
+let canonical scope ~reporter claims =
   let met = scope.met.(reporter) in
-  match List.assq_opt reports met with
-  | Some idx -> idx
+  match List.assq_opt claims met with
+  | Some c -> c
   | None ->
-      let idx =
-        match Hashtbl.find_opt scope.indexes reports with
-        | Some idx -> idx
+      let c =
+        match Claims_tbl.find_opt scope.canon claims with
+        | Some c -> c
         | None ->
-            let idx = build_index scope reports in
-            Hashtbl.replace scope.indexes reports idx;
-            idx
+            Claims_tbl.replace scope.canon claims claims;
+            claims
       in
-      scope.met.(reporter) <- (reports, idx) :: met;
-      idx
+      scope.met.(reporter) <- (claims, c) :: met;
+      c
 
 (* Make room in the prefix memo for ids up to [pid]; entries copied
    over keep their epochs. *)
@@ -333,20 +391,30 @@ type attribution = {
 (* The records of one reporter overwhelmingly carry the same report
    list (the reporter floods one value; only tampering relays produce
    variants), and those lists are large — n·Σdeg entries. Grouping the
-   records by their canonical index means the per-claim key tables are
-   shared by every record in the group, and (through the scope) by every
-   node of the run. *)
+   records by their canonical claims means one membership search per
+   group and query, not one per record. *)
 type group = {
-  index : index;
+  claims : claims;
   mutable masks : Packing.mask list; (* one disjointness mask per record *)
 }
 
 let attribution_index ?scope g ~me ~heard ~store2 =
-  let scope = resolve_scope g scope in
-  let direct = build_index scope (with_defaults g ~who:me heard) in
+  let sp = Flood.paths store2 in
+  let scope =
+    match scope with
+    | None -> create_scope sp
+    | Some s ->
+        if s.g != g && not (G.equal s.g g) then
+          invalid_arg "Algorithm2: scope built for another graph";
+        if s.sp != sp then
+          invalid_arg "Algorithm2: scope over another path intern table";
+        s
+  in
+  let n = scope.n in
+  let direct = own_claims scope ~who:me heard in
   let by_reporter : group list ref Itbl.t = Itbl.create 64 in
   Flood.iter_records store2
-    (fun ~origin:reporter ~path:_ ~sans_me:mask ~value:(reports : report list) ->
+    (fun ~origin:reporter ~path:_ ~sans_me:mask ~value:(claims : claims) ->
       let groups =
         match Itbl.find_opt by_reporter reporter with
         | Some gs -> gs
@@ -355,12 +423,12 @@ let attribution_index ?scope g ~me ~heard ~store2 =
             Itbl.replace by_reporter reporter gs;
             gs
       in
-      let index = index_of scope ~reporter reports in
+      let claims = canonical scope ~reporter claims in
       let group =
-        match List.find_opt (fun grp -> grp.index == index) !groups with
+        match List.find_opt (fun grp -> grp.claims == claims) !groups with
         | Some grp -> grp
         | None ->
-            let grp = { index; masks = [] } in
+            let grp = { claims; masks = [] } in
             groups := grp :: !groups;
             grp
       in
@@ -382,7 +450,7 @@ let attribution_index ?scope g ~me ~heard ~store2 =
       (fun y ->
         List.iter
           (fun grp ->
-            if keep grp.index then
+            if keep grp.claims then
               List.iter
                 (fun mask ->
                   if not (Packing.mem mask z) then masks := mask :: !masks)
@@ -407,35 +475,33 @@ let attribution_index ?scope g ~me ~heard ~store2 =
     tbl
   in
   let sent_pid ~f ~z ~value ~pid =
+    let key = claim_key ~n ~z ~value ~pid in
     if z = me then false (* a node never accuses itself *)
-    else if G.mem_edge g z me then mem_claim scope direct ~z ~value ~pid
+    else if G.mem_edge g z me then has_claim direct key
     else
-      let key = claim_key scope ~z ~value ~pid in
       let memo = memo_for f sent_memo in
       match Itbl.find_opt memo key with
       | Some r -> r
       | None ->
           let r =
             supported ~f
-              (support_masks ~z ~keep:(fun idx ->
-                   mem_claim scope idx ~z ~value ~pid))
+              (support_masks ~z ~keep:(fun claims -> has_claim claims key))
           in
           Itbl.replace memo key r;
           r
   in
   let silent_pid ~f ~z ~pid =
+    let key = key_of ~n ~z ~pid in
     if z = me then false
-    else if G.mem_edge g z me then not (mem_key scope direct ~z ~pid)
+    else if G.mem_edge g z me then not (has_key direct key)
     else
-      let key = key_of scope ~z ~pid in
       let memo = memo_for f silent_memo in
       match Itbl.find_opt memo key with
       | Some r -> r
       | None ->
           let r =
             supported ~f
-              (support_masks ~z ~keep:(fun idx ->
-                   not (mem_key scope idx ~z ~pid)))
+              (support_masks ~z ~keep:(fun claims -> not (has_key claims key)))
           in
           Itbl.replace memo key r;
           r
@@ -576,29 +642,23 @@ let type_a_decision g ~me ~detected ~store1 ~store3 =
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let flip_reports (reports : report list) : report list =
-  List.map
-    (fun (z, (m : Bit.t Flood.wire)) ->
-      (z, { m with Flood.value = Bit.flip m.Flood.value }))
-    reports
-
 (* Honest relays forward a flooded value allocation unchanged, so a
-   tampering node flips the same (large) list object over and over;
+   tampering node flips the same (large) claims array over and over;
    memoizing on physical identity shares the flipped copy too, which
-   keeps the downstream attribution indexes' value-grouping on its
-   physical-equality fast path instead of re-proving structural equality
-   per record. One memo per faulty role closure, so no state crosses a
-   scenario (or a domain); the table stays small — one entry per
-   distinct value object the node ever tampers. Purely an allocation/
-   sharing change: the flipped lists are structurally identical. *)
-let memoized_flip_reports () =
+   keeps the downstream attribution's grouping on its physical-equality
+   fast path instead of re-proving structural equality per record. One
+   memo per faulty role closure, so no state crosses a scenario (or a
+   domain); the table stays small — one entry per distinct value object
+   the node ever tampers. Purely an allocation/sharing change: the
+   flipped arrays are structurally identical. *)
+let memoized_flip () =
   let memo = ref [] in
-  fun reports ->
-    match List.assq reports !memo with
-    | flipped -> flipped
-    | exception Not_found ->
-        let flipped = flip_reports reports in
-        memo := (reports, flipped) :: !memo;
+  fun claims ->
+    match List.assq_opt claims !memo with
+    | Some flipped -> flipped
+    | None ->
+        let flipped = flip_claims claims in
+        memo := (claims, flipped) :: !memo;
         flipped
 
 let run_traced ~g ~f ~inputs ~faulty
@@ -610,15 +670,16 @@ let run_traced ~g ~f ~inputs ~faulty
   let topo = Engine.topology_of_graph g in
   let per_phase = Flood.rounds_needed g in
   let is_faulty v = Nodeset.mem v faulty in
-  (* One path intern table for the honest stores of all three floods:
-     every node relays the same paths, so each is interned once. *)
+  (* One path intern table for every flood store of all three floods,
+     faulty ones included: every node relays the same paths, so each is
+     interned once. Phase-2 claim keys are made in it too. *)
   let paths = P.create g in
   (* Phase 1 *)
   let roles1 =
     Array.init n (fun v ->
         if is_faulty v then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:Bit.compare
+            (Strategy.fstep (strategy v) ~g ~paths ~me:v ~vcompare:Bit.compare
                ~input:inputs.(v) ~default:Bit.default ~flip:Bit.flip ~seed)
         else Engine.Honest (phase1_proc g ~paths ~me:v ~input:inputs.(v)))
   in
@@ -633,30 +694,36 @@ let run_traced ~g ~f ~inputs ~faulty
   in
   (* Phase 2 *)
   Engine.check_fuel ();
+  let heard =
+    Array.init n (fun v -> if is_faulty v then [] else List.rev (p1 v).heard_rev)
+  in
+  (* The scope encodes each honest node's claims here and hands the same
+     array back to that node's attribution index. *)
+  let scope = create_scope paths in
   let reports v =
     if is_faulty v then
-      reports_of g ~who:v (heard_from_transcript g ~who:v r1.Engine.transcript)
-    else reports_of g ~who:v (List.rev (p1 v).heard_rev)
+      claims_of paths g ~who:v
+        (heard_from_transcript g ~who:v r1.Engine.transcript)
+    else own_claims scope ~who:v heard.(v)
   in
   let roles2 =
     Array.init n (fun v ->
         if is_faulty v then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:compare_reports
-               ~input:(reports v) ~default:[] ~flip:(memoized_flip_reports ())
-               ~seed:(seed + 1))
+            (Strategy.fstep (strategy v) ~g ~paths ~me:v
+               ~vcompare:compare_claims ~input:(reports v) ~default:[||]
+               ~flip:(memoized_flip ()) ~seed:(seed + 1))
         else
           Engine.Honest
             (Flood.proc
-               (Flood.create g ~me:v ~vcompare:compare_reports ~paths
-                  ~initiate:(reports v) ~default:[] ())))
+               (Flood.create g ~me:v ~vcompare:compare_claims ~paths
+                  ~initiate:(reports v) ~default:[||] ())))
   in
   let r2 =
     Engine.run topo ~model:Engine.Local_broadcast ~rounds:per_phase
       ~roles:roles2
   in
-  (* Fault discovery at each honest node, sharing one scope *)
-  let scope = scope_over g paths in
+  (* Fault discovery at each honest node, sharing the scope *)
   let detected =
     Array.init n (fun v ->
         if is_faulty v then Nodeset.empty
@@ -667,8 +734,7 @@ let run_traced ~g ~f ~inputs ~faulty
             | None -> invalid_arg "Algorithm2: missing phase-2 store"
           in
           let learns =
-            attribution_index ~scope g ~me:v
-              ~heard:(List.rev (p1 v).heard_rev) ~store2
+            attribution_index ~scope g ~me:v ~heard:heard.(v) ~store2
           in
           discover g ~f ~me:v ~store1:(p1 v).store1 ~learns ()
         end)
@@ -694,7 +760,7 @@ let run_traced ~g ~f ~inputs ~faulty
     Array.init n (fun v ->
         if is_faulty v then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:Bit.compare
+            (Strategy.fstep (strategy v) ~g ~paths ~me:v ~vcompare:Bit.compare
                ~input:inputs.(v) ~default:Bit.default ~flip:Bit.flip
                ~seed:(seed + 2))
         else
@@ -754,9 +820,7 @@ let run_traced ~g ~f ~inputs ~faulty
     store1 =
       Array.init n (fun v ->
           if is_faulty v then None else Some (p1 v).store1);
-    heard =
-      Array.init n (fun v ->
-          if is_faulty v then [] else List.rev (p1 v).heard_rev);
+    heard;
     store2 = r2.Engine.outputs;
   }
 

@@ -39,16 +39,27 @@ type report = int * Bit.t Lbc_flood.Flood.wire
 (** A phase-2 report entry: "node [z] transmitted message [m] in
     phase 1". *)
 
+type claims = int array
+(** A phase-2 report list as it is flooded: the sorted, duplicate-free
+    array of its entries' claim keys [((pid·n + z)·2 + value)], where
+    [pid] numbers the entry's path in the execution's intern table
+    ({!Lbc_flood.Path_intern.intern_total}) and [n] is the graph size.
+    Two report lists are equal as sets iff their claims are equal, and a
+    claim is in a list iff its key is in the array. Keys mean something
+    only in the table that made them; see {!encode} and {!decode}. *)
+
 type traced = {
   outcome : Spec.outcome;
   node_reports : node_report option array;
   store1 : Bit.t Lbc_flood.Flood.store option array;
       (** phase-1 flood stores of honest nodes *)
-  heard : (int * Bit.t Lbc_flood.Flood.wire) list array;
+  heard : report list array;
       (** everything each honest node heard in phase 1 (empty for
           faulty) *)
-  store2 : report list Lbc_flood.Flood.store option array;
-      (** phase-2 report stores of honest nodes *)
+  store2 : claims Lbc_flood.Flood.store option array;
+      (** phase-2 report stores of honest nodes. They share the
+          execution's path intern table ({!Lbc_flood.Flood.paths}), in
+          which the claims were made; {!decode} reads them back. *)
 }
 (** Full white-box view of a run — used by the Appendix C lemma tests. *)
 
@@ -58,6 +69,33 @@ val rounds : g:Lbc_graph.Graph.t -> int
     are overheard by the reporters — required for sound omission
     evidence). *)
 
+(** {1 Phase-2 claims} *)
+
+val encode : Lbc_flood.Path_intern.t -> report list -> claims
+(** The claims of a report list, interning each entry's path once.
+    Entries may repeat and may carry any path, nodes out of range
+    included.
+    @raise Invalid_argument if a sender is outside the table's graph. *)
+
+val decode : Lbc_flood.Path_intern.t -> claims -> report list
+(** The inverse of {!encode} over the same table: the distinct entries,
+    in key order. *)
+
+val compare_claims : claims -> claims -> int
+(** A total order on claims; [0] iff the arrays are equal. *)
+
+val flip_claims : claims -> claims
+(** The claims of the report list with every value flipped:
+    [flip_claims (encode t l) = encode t (flipped l)]. A fresh array. *)
+
+val mem_claim :
+  Lbc_flood.Path_intern.t -> claims -> z:int -> m:Bit.t Lbc_flood.Flood.wire -> bool
+(** Is [(z, m)] an entry of the list? A binary search; interns [m]'s
+    path. *)
+
+val mem_key : Lbc_flood.Path_intern.t -> claims -> z:int -> path:int list -> bool
+(** Is some [(z, m)] with [m]'s path [path] an entry of the list? *)
+
 (** {1 Forensics internals}
 
     Exposed for diagnostics, the fault-forensics example and white-box
@@ -65,19 +103,21 @@ val rounds : g:Lbc_graph.Graph.t -> int
 
 type scope
 (** What the attribution and discovery steps of one execution share
-    across its honest nodes. A scope holds only things that depend on the
-    graph and on phase-2 report lists, never on a node's own
-    observations:
+    across its honest nodes. A scope is built over the execution's path
+    intern table and holds only things that depend on the graph and on
+    phase-2 report lists, plus each node's own claims:
 
-    - one path intern table, so report claims and scan prefixes key on
-      ints;
-    - the claim/key index of each distinct report list, canonicalised by
-      structural equality, and the answers it has given;
-    - per reporter, the report-list objects already met from it, with
-      their indexes. A record's index is found there by physical
-      identity; only a list object met for the first time pays the
-      structural lookup (hashing reads just a list's first entries, so
-      reporters' lists collide and a probe compares deep into them);
+    - the table, in which the report claims, queried paths and scan
+      prefixes are numbered;
+    - the canonical copy of each distinct report list (claims equal as
+      arrays share one copy), and, per reporter, the list objects already
+      met from it with their canonical copies. A record's copy is found
+      there by physical identity; only a list object met for the first
+      time pays the structural lookup;
+    - per node, the claims of its own phase-1 observations, by the
+      physical [heard] list they were encoded from: {!run_traced} encodes
+      them once, for the phase-2 flood, and {!attribution_index} reads
+      them back when handed the same list;
     - the [2f] disjoint [w]→[u] path families of {!discover} and their
       interned scan steps (each step's node, the prefix before it and
       the prefix through it);
@@ -90,14 +130,14 @@ type scope
       carries over from one node to the next.
 
     Results never depend on the scope: a call with a shared scope returns
-    exactly what the same call with a fresh one returns, and records the
-    same observability counters (the per-node memo tables and packing
-    certificate caches are not shared). A scope is mutable, bound to one
-    graph, and must stay on one domain. {!run_traced} creates one per
-    execution. *)
+    exactly what the same call with a fresh one over the same table
+    returns, and records the same observability counters (the per-node
+    memo tables and packing certificate caches are not shared). A scope
+    is mutable, bound to one table, and must stay on one domain.
+    {!run_traced} creates one per execution. *)
 
-val create_scope : Lbc_graph.Graph.t -> scope
-(** An empty scope for executions on this graph. *)
+val create_scope : Lbc_flood.Path_intern.t -> scope
+(** An empty scope over this intern table and its graph. *)
 
 type attribution
 (** A node's phase-2 attribution queries (see {!sent} and {!silent_on}),
@@ -107,14 +147,15 @@ val attribution_index :
   ?scope:scope ->
   Lbc_graph.Graph.t ->
   me:int ->
-  heard:(int * Bit.t Lbc_flood.Flood.wire) list ->
-  store2:(int * Bit.t Lbc_flood.Flood.wire) list Lbc_flood.Flood.store ->
+  heard:report list ->
+  store2:claims Lbc_flood.Flood.store ->
   attribution
 (** Build the phase-2 attribution queries from a node's own phase-1
-    observations and its phase-2 report store. Without [scope] the index
-    gets a private one.
-    @raise Invalid_argument if [scope] was created for a different
-    graph. *)
+    observations and its phase-2 report store. The store's claims are
+    keys of its intern table ({!Lbc_flood.Flood.paths}); without [scope]
+    the index gets a private scope over that table.
+    @raise Invalid_argument if [scope] was created for a different graph
+    or over another intern table than the store's. *)
 
 val sent : attribution -> f:int -> z:int -> m:Bit.t Lbc_flood.Flood.wire -> bool
 (** Reliable positive evidence that [z] transmitted [m] in phase 1. *)
@@ -173,7 +214,7 @@ val run_traced :
   ?seed:int ->
   unit ->
   traced
-(** Like {!run_detailed} with the full white-box view. The honest flood
-    stores of all three phases share one path intern table, and fault
-    discovery shares one {!scope} across the honest nodes; neither
-    changes any result. *)
+(** Like {!run_detailed} with the full white-box view. Every flood store
+    of all three phases, the faulty nodes' included, shares one path
+    intern table, and fault discovery shares one {!scope} over it across
+    the honest nodes; neither changes any result. *)

@@ -57,8 +57,8 @@ let resolve table ~n ~f =
 (* Rebuild the flood store a faulty node would have kept had it listened
    honestly, by replaying its inbox from the transcript. Used to hand the
    adversarial strategies plausible report material. *)
-let shadow_store g ~me ~initiate transcript =
-  let store = Flood.create g ~me ~vcompare:compare_msg ~initiate () in
+let shadow_store g ~paths ~me ~initiate transcript =
+  let store = Flood.create g ~me ~vcompare:compare_msg ~paths ~initiate () in
   List.iter
     (fun (round, sender, d) ->
       match d with
@@ -76,6 +76,9 @@ let run ~g ~f ~inputs ~faulty ?(strategy = fun _ -> Strategy.Equivocate)
   if Array.length inputs <> n then
     invalid_arg "Baseline_relay.run: inputs length mismatch";
   let topo = Engine.topology_of_graph g in
+  (* One path intern table for every flood store of the run, honest,
+     faulty and shadow, in all f + 1 levels. *)
+  let paths = Lbc_flood.Path_intern.create g in
   let tables = Array.init n (fun _ -> Hashtbl.create 64) in
   Array.iteri (fun v input -> Hashtbl.replace tables.(v) [] input) inputs;
   let transmissions = ref 0 in
@@ -90,13 +93,13 @@ let run ~g ~f ~inputs ~faulty ?(strategy = fun _ -> Strategy.Equivocate)
       Array.init n (fun v ->
           if Nodeset.mem v faulty then
             Engine.Faulty
-              (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:compare_msg
+              (Strategy.fstep (strategy v) ~g ~paths ~me:v ~vcompare:compare_msg
                  ~input:reports.(v) ~default:[] ~flip:flip_msg
                  ~seed:(seed + (1000 * s)))
           else
             Engine.Honest
               (Flood.proc
-                 (Flood.create g ~me:v ~vcompare:compare_msg
+                 (Flood.create g ~me:v ~vcompare:compare_msg ~paths
                     ~initiate:reports.(v) ())))
     in
     let result =
@@ -119,7 +122,8 @@ let run ~g ~f ~inputs ~faulty ?(strategy = fun _ -> Strategy.Equivocate)
         ignore role;
         if Nodeset.mem v faulty then
           accept v
-            (shadow_store g ~me:v ~initiate:reports.(v) result.Engine.transcript)
+            (shadow_store g ~paths ~me:v ~initiate:reports.(v)
+               result.Engine.transcript)
         else
           match result.Engine.outputs.(v) with
           | Some store -> accept v store

@@ -11,7 +11,7 @@ let run_phase ~g ~f ~cap_f ~cap_t ~model ~inputs ~faulty ~strategy ~seed
     Array.init n (fun v ->
         if Nodeset.mem v faulty then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:Bit.compare
+            (Strategy.fstep (strategy v) ~g ~paths ~me:v ~vcompare:Bit.compare
                ~input:inputs.(v) ~default:Bit.default ~flip:Bit.flip
                ~seed:(seed + (1000 * phase_idx)))
         else

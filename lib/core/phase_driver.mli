@@ -20,7 +20,7 @@ val run_phase :
     honest nodes' flood stores ([None] for faulty nodes — for observers
     and white-box tests), and the phase's engine statistics. Faulty nodes
     keep their [gamma] entry unchanged (it is not meaningful). [seed] and
-    [phase_idx] derandomise the adversarial strategies per phase. The
-    honest flood stores intern their paths in [paths]; an execution
-    passes the same table to all its phases, which changes no result
-    (see {!Lbc_flood.Flood.create}). *)
+    [phase_idx] derandomise the adversarial strategies per phase. Every
+    flood store of the phase, the faulty nodes' included, interns its
+    paths in [paths]; an execution passes the same table to all its
+    phases, which changes no result (see {!Lbc_flood.Flood.create}). *)

@@ -96,7 +96,7 @@ let predicted_transmissions g =
   !total
 
 let me t = t.me
-let graph t = t.g
+let paths t = t.paths
 let own_value t = t.initiate
 
 (* Rule (ii) keys are trie ids: the key (wire path pid, sender) is the

@@ -138,7 +138,10 @@ val synthesize_defaults : 'v store -> 'v wire list
 (** {1 Queries} *)
 
 val me : 'v store -> int
-val graph : 'v store -> Lbc_graph.Graph.t
+
+val paths : 'v store -> Path_intern.t
+(** The path intern table the store keys on: the [paths] it was created
+    with, or its private one. *)
 
 val own_value : 'v store -> 'v option
 (** The value this node initiated, if any. *)

@@ -60,6 +60,9 @@ type t = {
       (* child ids by neighbour rank (the root's: by node), [invalid] for
          none; [no_kids] until the first child *)
   overflow : int Itbl.t; (* non-neighbour children, by [parent * n + node] *)
+  mutable exotic : (int list * id) list;
+      (* paths with an out-of-range node, newest first, numbered -2, -3,
+         ... by [intern_total] *)
 }
 
 let create g =
@@ -86,6 +89,7 @@ let create g =
     nodes = Array.make cap [];
     kids = Array.make cap no_kids;
     overflow = Itbl.create 16;
+    exotic = [];
   }
 
 let grow t =
@@ -182,6 +186,21 @@ let graph t = t.g
 
 let intern t path = List.fold_left (fun pid u -> extend t pid u) root path
 
+let intern_total t path =
+  let pid = intern t path in
+  if pid <> invalid then pid
+  else
+    match
+      List.find_opt
+        (fun (l, _) -> Lbc_sim.Det.compare_int_list l path = 0)
+        t.exotic
+    with
+    | Some (_, pid) -> pid
+    | None ->
+        let pid = -2 - List.length t.exotic in
+        t.exotic <- (path, pid) :: t.exotic;
+        pid
+
 let path t id =
   check_id t id;
   let l = t.nodes.(id) in
@@ -194,6 +213,13 @@ let path t id =
     t.nodes.(id) <- l;
     l
   end
+
+let path_total t id =
+  if id >= 0 then path t id
+  else
+    match List.find_opt (fun (_, pid) -> pid = id) t.exotic with
+    | Some (l, _) -> l
+    | None -> invalid_arg "Path_intern: invalid id"
 
 let length t id = if issued t id then t.lens.(id) else -1
 

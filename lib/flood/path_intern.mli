@@ -60,6 +60,21 @@ val intern : t -> int list -> id
     sight. [intern t [] = root]; {!invalid} when any element is outside
     [0 .. size g - 1]. *)
 
+val intern_total : t -> int list -> id
+(** Like {!intern}, but injective on every list: a path with a node
+    outside [0 .. size g - 1] gets an id of its own, [-2], [-3], ... in
+    order of first sight, instead of {!invalid}. Such exotic ids are
+    numbers only: no query but {!path_total} accepts them. Code that
+    keys on paths of any origin (Algorithm 2's phase-2 claims, which
+    record what was heard, fabrications included) keys on these ids, so
+    that every reader of one table decodes a key the same way. *)
+
+val path_total : t -> id -> int list
+(** The inverse of {!intern_total}: {!path} for an issued id, the
+    interned list for an exotic one.
+    @raise Invalid_argument on {!invalid} and on ids the table never
+    issued. *)
+
 val extend : t -> id -> int -> id
 (** [extend t pid u] is the id of [path pid · u] in O(1): a read of the
     rank table and one of [pid]'s child array when [u] neighbours the

@@ -34,7 +34,8 @@
    ([module C = Lbc_campaign.Clock]) are expanded, and an alias of an
    alias ([module Campaign = Lbc_campaign] then
    [module Scenario = Campaign.Scenario]) is stored already expanded, so
-   a chain resolves in one step. References
+   a chain resolves in one step; an expression-level
+   [let module M = A.B in ...] is expanded the same way. References
    that resolve to nothing we know (parameters, let-locals, functor
    internals) are dropped — the analysis under-approximates through
    higher-order flow and says so in its rule descriptions.
@@ -371,6 +372,13 @@ let exported_values (sg : Typedtree.signature) =
       | _ -> None)
     sg.Typedtree.sig_items
 
+(* The module a module expression merely names, through constraints. *)
+let rec local_alias (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (me, _, _, _) -> local_alias me
+  | _ -> None
+
 let summarize ~unit_names (u : Cmt_load.unit_info) =
   let functor_args = ref [] in
   let note_functor_arg comps =
@@ -659,6 +667,14 @@ let summarize ~unit_names (u : Cmt_load.unit_info) =
               incr lambda;
               default.Tast_iterator.expr it e;
               decr lambda
+          | Typedtree.Texp_letmodule (Some id, _, _, me, _) ->
+              (* [let module M = A.B in ...]: uses of [M.x] in the body
+                 resolve as [A.B.x], like a toplevel alias. *)
+              (match local_alias me with
+              | Some p ->
+                  Hashtbl.replace uctx.aliases (Ident.unique_name id) (expand p)
+              | None -> ());
+              default.Tast_iterator.expr it e
           | Typedtree.Texp_let (_, vbs, body) ->
               List.iter
                 (fun (vb : Typedtree.value_binding) ->

@@ -16,12 +16,17 @@
      from z annotated [path]" for a supporting record.
 
    Node [me] never accuses itself, and is left out of the disjointness
-   masks (it is on every record's path). *)
+   masks (it is on every record's path).
+
+   Phase-2 records carry claim arrays; the reference reads each one back
+   as a report list through [Algorithm2.decode] and works on the lists
+   only. *)
 
 module G = Lbc_graph.Graph
 module Flood = Lbc_flood.Flood
 module Packing = Lbc_flood.Packing
 module Bit = Lbc_consensus.Bit
+module A2 = Lbc_consensus.Algorithm2
 
 type report = int * Bit.t Flood.wire
 
@@ -37,7 +42,7 @@ type t = {
          query many times *)
 }
 
-let create g ~me ~(heard : report list) ~(store2 : report list Flood.store) =
+let create g ~me ~(heard : report list) ~(store2 : A2.claims Flood.store) =
   let defaults =
     List.filter_map
       (fun w ->
@@ -50,7 +55,19 @@ let create g ~me ~(heard : report list) ~(store2 : report list Flood.store) =
       (G.neighbor_list g me)
   in
   let tbl = Hashtbl.create 64 and order = ref [] in
+  (* Decoding is a pure function of the array; each array object is
+     decoded once. *)
+  let decoded = ref [] in
+  let decode claims =
+    match List.assq_opt claims !decoded with
+    | Some reports -> reports
+    | None ->
+        let reports = A2.decode (Flood.paths store2) claims in
+        decoded := (claims, reports) :: !decoded;
+        reports
+  in
   Flood.iter_records store2 (fun ~origin ~path ~sans_me:_ ~value ->
+      let value = decode value in
       let mask = Packing.mask_of_nodes (List.filter (( <> ) me) path) in
       let key = (origin, value) in
       match Hashtbl.find_opt tbl key with

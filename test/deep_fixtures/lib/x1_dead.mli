@@ -1,5 +1,6 @@
-(* X1 fixture: [used] is referenced from the lbc_deepfix_user library,
-   [dead] from nowhere, [chained] only through an alias of an alias. *)
+(* X1 fixture: [used] is used from lbc_deepfix_user, [dead] nowhere, [chained]
+   via an alias of an alias, [via_let_module] via a [let module] alias. *)
 val used : int
 val dead : int
 val chained : int -> int
+val via_let_module : int

@@ -6,3 +6,8 @@ module Deepfix = Lbc_deepfix
 module X1 = Deepfix.X1_dead
 
 let refers_to_chained = X1.chained 1
+
+(* [via_let_module] is reached only through a local module alias. *)
+let refers_via_let_module () =
+  let module M = Lbc_deepfix.X1_dead in
+  M.via_let_module

@@ -14,8 +14,8 @@ let check_int = Alcotest.(check int)
 let mk kind ~me ?(seed = 0) () =
   let g = B.cycle 5 in
   (g,
-    S.fstep kind ~g ~me ~vcompare:Int.compare ~input:1 ~default:9
-      ~flip:(fun v -> -v) ~seed)
+    S.fstep kind ~g ~paths:(Lbc_flood.Path_intern.create g) ~me
+      ~vcompare:Int.compare ~input:1 ~default:9 ~flip:(fun v -> -v) ~seed)
 
 let broadcasts out =
   List.filter_map
@@ -133,6 +133,58 @@ let test_spelling_roundtrip () =
     (fun bad -> check bad true (Result.is_error (S.of_string bad)))
     [ ""; "bogus"; "crash"; "crash:x"; "omit:1,-2"; "noise:1:2"; "flip-from:a" ]
 
+(* A faulty store's intern table is a memo of path facts: whether it is
+   private or the one the honest stores intern into, every kind must
+   transmit the same messages in every round. Each kind runs twice on
+   fig1b with two faulty nodes (their stores share one table with each
+   other as well as with the honest ones), and the transcripts must be
+   equal round by round. Equivocate unicasts, so its runs use the
+   point-to-point model. *)
+let test_shared_table () =
+  let g = B.fig1b () in
+  let n = G.size g in
+  let faulty = Nodeset.of_list [ 1; 4 ] in
+  let topo = Engine.topology_of_graph g in
+  let run kind ~shared =
+    let shared_paths = Lbc_flood.Path_intern.create g in
+    let table () =
+      if shared then shared_paths else Lbc_flood.Path_intern.create g
+    in
+    let roles =
+      Array.init n (fun v ->
+          if Nodeset.mem v faulty then
+            Engine.Faulty
+              (S.fstep kind ~g ~paths:(table ()) ~me:v ~vcompare:Int.compare
+                 ~input:(10 + v) ~default:(-1) ~flip:(fun x -> -x) ~seed:3)
+          else
+            Engine.Honest
+              (Flood.proc
+                 (Flood.create g ~me:v ~vcompare:Int.compare ~paths:(table ())
+                    ~initiate:(10 + v) ~default:(-1) ())))
+    in
+    let model =
+      if S.broadcast_bound kind then Engine.Local_broadcast
+      else Engine.Point_to_point
+    in
+    (Engine.run ~record:true topo ~model ~rounds:(Flood.rounds_needed g) ~roles)
+      .Engine.transcript
+  in
+  List.iter
+    (fun kind ->
+      let private_ = run kind ~shared:false and shared = run kind ~shared:true in
+      let name = S.to_string kind in
+      check (name ^ ": faulty nodes transmit") true
+        (List.exists (fun (_, v, _) -> Nodeset.mem v faulty) private_
+        || kind = S.Silent);
+      for round = 0 to Flood.rounds_needed g - 1 do
+        let at tr = List.filter (fun (r, _, _) -> r = round) tr in
+        check
+          (Printf.sprintf "%s: round %d transmissions" name round)
+          true
+          (at private_ = at shared)
+      done)
+    S.kinds_hybrid
+
 let () =
   Alcotest.run "adversary"
     [
@@ -151,6 +203,8 @@ let () =
           Alcotest.test_case "classification" `Quick
             test_broadcast_bound_classification;
         ] );
+      ( "paths",
+        [ Alcotest.test_case "private = shared" `Quick test_shared_table ] );
       ( "spelling",
         [ Alcotest.test_case "roundtrip" `Quick test_spelling_roundtrip ] );
     ]

@@ -221,6 +221,139 @@ let prop_random_f1_cycleplus =
       Spec.consensus_ok o
       end)
 
+(* Phase-2 claim encoding. A report list is flooded as its claim-key
+   array; every property below compares that array with the structural
+   reading of the list it came from. The lists mix honest-looking paths
+   (walks of the graph), junk paths (nodes out of range included, as
+   Noise puts into heard logs), exact duplicates, and both values for
+   one (z, path). *)
+type entry = int * Bit.t Lbc_flood.Flood.wire
+
+let compare_entry ((z1, m1) : entry) ((z2, m2) : entry) =
+  match Int.compare z1 z2 with
+  | 0 -> (
+      match Bit.compare m1.Lbc_flood.Flood.value m2.Lbc_flood.Flood.value with
+      | 0 -> List.compare Int.compare m1.Lbc_flood.Flood.path m2.Lbc_flood.Flood.path
+      | c -> c)
+  | c -> c
+
+let as_set l = List.sort_uniq compare_entry l
+
+let flip_entries l =
+  List.map
+    (fun (z, (m : Bit.t Lbc_flood.Flood.wire)) ->
+      (z, { m with Lbc_flood.Flood.value = Bit.flip m.Lbc_flood.Flood.value }))
+    l
+
+(* A random graph and two report lists over it: [l2] is [l1] shuffled
+   with more duplicates, or [l1] with one entry dropped, added, or its
+   value flipped, so equal and unequal pairs both occur often. *)
+let claims_case (n, seed) =
+  let g = B.random_augmented_circulant ~seed ~n ~k:2 ~extra:0.3 in
+  let st = Random.State.make [| seed; 27 |] in
+  let int k = Random.State.int st k in
+  let path () =
+    match int 3 with
+    | 0 ->
+        (* a walk of the graph *)
+        let rec walk u k acc =
+          if k = 0 then List.rev acc
+          else
+            let nb = G.neighbor_list g u in
+            let v = List.nth nb (int (List.length nb)) in
+            walk v (k - 1) (v :: acc)
+        in
+        let u = int n in
+        walk u (int n) [ u ]
+    | 1 -> []
+    | _ -> List.init (int (n + 2)) (fun _ -> int (n + 2) - 1)
+  in
+  let entry () : entry =
+    (int n, { Lbc_flood.Flood.value = Bit.of_int (int 2); path = path () })
+  in
+  let l1 = List.init (int 25) (fun _ -> entry ()) in
+  let l1 =
+    List.concat_map
+      (fun ((z, m) as e) ->
+        match int 4 with
+        | 0 -> [ e; e ]
+        | 1 -> [ e; (z, { m with Lbc_flood.Flood.value = Bit.flip m.Lbc_flood.Flood.value }) ]
+        | _ -> [ e ])
+      l1
+  in
+  let shuffle l =
+    List.map (fun e -> (int 1000, e)) l
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
+  let l2 =
+    match (int 4, l1) with
+    | 0, _ | _, [] -> shuffle (l1 @ List.filter (fun _ -> int 3 = 0) l1)
+    | 1, _ :: rest -> shuffle rest
+    | 2, _ -> shuffle (entry () :: l1)
+    | _, (z, m) :: rest ->
+        shuffle
+          ((z, { m with Lbc_flood.Flood.value = Bit.flip m.Lbc_flood.Flood.value })
+          :: rest)
+  in
+  let queries = List.init 20 (fun _ -> entry ()) @ l1 @ flip_entries l1 in
+  (g, l1, l2, queries)
+
+let prop_claims =
+  QCheck.Test.make ~name:"claims = structural report lists" ~count:300
+    QCheck.(pair (int_range 4 8) (int_bound 9999))
+    (fun ((n, seed) as case) ->
+      if n < 4 || n > 8 || seed < 0 then true
+      else begin
+        let g, l1, l2, queries = claims_case case in
+        let t = Lbc_flood.Path_intern.create g in
+        let c1 = A2.encode t l1 and c2 = A2.encode t l2 in
+        let equal_iff =
+          (A2.compare_claims c1 c2 = 0) = (as_set l1 = as_set l2)
+          && (A2.compare_claims c1 c2 = 0) = (c1 = c2)
+        in
+        let flip_commutes =
+          A2.flip_claims c1 = A2.encode t (flip_entries l1)
+          && A2.flip_claims (A2.flip_claims c1) = c1
+        in
+        let mem_agrees =
+          List.for_all
+            (fun ((z, (m : Bit.t Lbc_flood.Flood.wire)) as e) ->
+              A2.mem_claim t c1 ~z ~m = List.exists (fun e' -> compare_entry e e' = 0) l1
+              && A2.mem_key t c1 ~z ~path:m.Lbc_flood.Flood.path
+                 = List.exists
+                     (fun (z', (m' : Bit.t Lbc_flood.Flood.wire)) ->
+                       z' = z && m'.Lbc_flood.Flood.path = m.Lbc_flood.Flood.path)
+                     l1)
+            queries
+        in
+        let decodes =
+          as_set (A2.decode t c1) = as_set l1
+          && List.length (A2.decode t c1) = List.length (as_set l1)
+          && A2.encode t (A2.decode t c1) = c1
+        in
+        equal_iff && flip_commutes && mem_agrees && decodes
+      end)
+
+(* A claim key means something only in the table that made it: a scope
+   over another table is refused. *)
+let test_scope_other_table () =
+  let g = B.cycle 5 in
+  let t =
+    A2.run_traced ~g ~f:1 ~inputs:(Array.make 5 Bit.One)
+      ~faulty:(Nodeset.singleton 2) ()
+  in
+  match t.A2.store2.(0) with
+  | None -> Alcotest.fail "node 0 is honest"
+  | Some store2 ->
+      Alcotest.check_raises "scope over a foreign table"
+        (Invalid_argument "Algorithm2: scope over another path intern table")
+        (fun () ->
+          ignore
+            (A2.attribution_index
+               ~scope:(A2.create_scope (Lbc_flood.Path_intern.create g))
+               g ~me:0 ~heard:t.A2.heard.(0) ~store2))
+
 (* The scope that run_traced shares across its honest nodes changes
    nothing, and neither does discover's prefix memo. Each honest node's
    fault discovery is replayed twice on the run's own stores: standalone
@@ -270,6 +403,12 @@ let replay ?scope g ~f ~(t : A2.traced) v =
       let trace = List.rev !trace in
       Some (detected, trace, obs.Lbc_obs.Obs.counters, List.for_all agrees trace)
   | _ -> None
+
+(* The run's path intern table, which all its flood stores share. *)
+let run_table (t : A2.traced) =
+  match List.find_map Fun.id (Array.to_list t.A2.store2) with
+  | Some store2 -> Lbc_flood.Flood.paths store2
+  | None -> invalid_arg "run_table: no honest node"
 
 (* An attribution query of the plain scan, for checking its answers. *)
 type query =
@@ -372,7 +511,7 @@ let prop_scope_transparent =
   QCheck.Test.make ~name:"shared scope = standalone per-node replay" ~count:24
     arb (fun case ->
       let g, f, t = scope_run kinds case in
-      let shared = A2.create_scope g in
+      let shared = A2.create_scope (run_table t) in
       List.for_all
         (fun v ->
           match
@@ -401,7 +540,7 @@ let prop_scope_transparent =
    run shares it, is answered again by the list-keyed reference, which
    has no scope and compares lists by structure only. *)
 let agrees_with_reference g ~f ~(t : A2.traced) =
-  let scope = A2.create_scope g in
+  let scope = A2.create_scope (run_table t) in
   List.for_all
     (fun v ->
       match t.A2.store2.(v) with
@@ -519,5 +658,9 @@ let () =
             test_flipped_copy_first;
         ]
         @ qt [ prop_scope_transparent; prop_attribution_reference ] );
+      ( "claims",
+        Alcotest.test_case "scope over another table" `Quick
+          test_scope_other_table
+        :: qt [ prop_claims ] );
       ("properties", qt [ prop_random_f1_cycleplus ]);
     ]

@@ -257,6 +257,14 @@ let test_x1_alias_chain () =
        (fun (f : Rules.finding) -> f.Rules.line = 5)
        (kept_in (fixture_file "x1_dead.mli")))
 
+let test_x1_let_module () =
+  (* [via_let_module] (line 6) is used only as [M.via_let_module], inside
+     [let module M = Lbc_deepfix.X1_dead in ...] *)
+  check "no X1 on a use through a let-module alias" false
+    (List.exists
+       (fun (f : Rules.finding) -> f.Rules.line = 6)
+       (kept_in (fixture_file "x1_dead.mli")))
+
 let test_deep_rules_baselinable () =
   (* an E1 finding can be grandfathered via the baseline machinery *)
   let baseline =
@@ -382,5 +390,6 @@ let () =
           Alcotest.test_case "dead vs used export" `Quick test_x1_dead_vs_used;
           Alcotest.test_case "use through an alias chain" `Quick
             test_x1_alias_chain;
+          Alcotest.test_case "let-module alias" `Quick test_x1_let_module;
         ] );
     ]

@@ -464,8 +464,8 @@ let test_reliable_values_tampered () =
   let g = B.cycle 5 in
   let topo = Engine.topology_of_graph g in
   let flipper =
-    Lbc_adversary.Strategy.fstep Lbc_adversary.Strategy.Flip_forwards ~g ~me:2
-      ~vcompare:Int.compare ~input:20 ~default:(-1) ~flip:(fun v -> -v) ~seed:0
+    Lbc_adversary.Strategy.fstep Lbc_adversary.Strategy.Flip_forwards ~g
+      ~paths:(Lbc_flood.Path_intern.create g) ~me:2 ~vcompare:Int.compare ~input:20 ~default:(-1) ~flip:(fun v -> -v) ~seed:0
   in
   let roles =
     Array.init 5 (fun v ->

@@ -117,7 +117,12 @@ let equivalence =
             Array.init n (fun v ->
                 if v = faulty then
                   Engine.Faulty
-                    (S.fstep kind ~g ~me:v ~vcompare:Int.compare
+                    (S.fstep kind ~g
+                       ~paths:
+                         (match paths with
+                         | Some t -> t
+                         | None -> Lbc_flood.Path_intern.create g)
+                       ~me:v ~vcompare:Int.compare
                        ~input:(100 + v) ~default:(-1)
                        ~flip:(fun x -> -x)
                        ~seed)
