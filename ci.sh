@@ -87,12 +87,14 @@ echo "== lbclint --deep gate (cold, populating the summary cache) =="
 # that escape through leaked refs), E4 check-then-act atomicity
 # (released-lock read/write pairs, Atomic.get+set), M1 the
 # local-broadcast model invariant (no Engine.Unicast outside
-# lib/adversary and lib/lowerbound), plus the advisory X1 dead-export
-# report. @check materializes the executables' .cmt files, which a
-# plain `dune build` does not.
+# lib/adversary and lib/lowerbound), plus the X1 dead-export report.
+# @check materializes the executables' .cmt files, which a plain
+# `dune build` does not.
 # The gate runs against an EMPTY baseline: every gating deep finding on
 # the repo tip is either fixed or carries an inline reasoned
-# suppression. X1 findings are advisory and do not affect the exit.
+# suppression. X1 findings do not affect lbclint's exit, but this script
+# fails on any: the tree carries no dead export, so a new one is
+# narrowed or deleted when it appears.
 # The run goes through a fresh --deep-cache directory and emits SARIF;
 # the second (warm) run below must answer every unit from the cache and
 # produce byte-identical output.
@@ -104,6 +106,9 @@ grep -q '"exit":0' "$tmp/lint_deep.json" \
   || { echo "FAIL: lbclint --deep reported gating findings"; exit 1; }
 grep -q '"cache_hits":0' "$tmp/lint_deep.json" \
   || { echo "FAIL: cold deep run claims cache hits"; exit 1; }
+if grep -q '"rule":"X1"' "$tmp/lint_deep.json"; then
+  echo "FAIL: lbclint --deep reported dead exports (X1)"; exit 1
+fi
 
 echo "== lbclint --deep gate (warm, answered from the cache) =="
 dune exec bin/lbclint.exe -- --deep --json --baseline lint-baseline \

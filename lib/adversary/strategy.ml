@@ -1,4 +1,5 @@
 module Flood = Lbc_flood.Flood
+module P = Lbc_flood.Path_intern
 module Engine = Lbc_sim.Engine
 module Nodeset = Lbc_graph.Nodeset
 
@@ -70,6 +71,11 @@ let of_string s =
     | Some v -> Ok (k v)
     | None -> Error (Printf.sprintf "%s: bad %s" s what)
   in
+  let count k arg =
+    match int_of_string_opt arg with
+    | Some v when v < 0 -> Error (Printf.sprintf "%s: count must be >= 0" s)
+    | _ -> int "count" k arg
+  in
   let ids k arg = Result.map k (Nodeset.of_csv arg) in
   match String.split_on_char ':' s with
   | [ "silent" ] -> Ok Silent
@@ -78,8 +84,8 @@ let of_string s =
   | [ "flip" ] | [ "flip-forwards" ] -> Ok Flip_forwards
   | [ "equivocate" ] -> Ok Equivocate
   | [ "crash"; r ] -> int "round" (fun r -> Crash_at r) r
-  | [ "spurious"; k ] -> int "count" (fun k -> Spurious k) k
-  | [ "noise"; k ] -> int "count" (fun k -> Noise k) k
+  | [ "spurious"; k ] -> count (fun k -> Spurious k) k
+  | [ "noise"; k ] -> count (fun k -> Noise k) k
   | [ "omit-sampled"; k ] -> int "salt" (fun k -> Omit_sampled k) k
   | [ "omit"; l ] -> ids (fun set -> Omit_from set) l
   | [ "flip-from"; l ] -> ids (fun set -> Flip_from set) l
@@ -106,13 +112,15 @@ let hooked_step store ~alive ~rewrite ~extra =
 
 let no_extra ~round:_ = []
 
+(* Rewrites only see the honest store's own transmissions, whose ids are
+   issued by its table: never exotic. *)
 let origin_of me (m : 'v Flood.wire) =
-  match m.Flood.path with o :: _ -> o | [] -> me
+  if m.Flood.pid = P.root then me else P.first m.Flood.home m.Flood.pid
 
 (* A fabricated but well-formed wire message: a random simple path of G
    ending at [me] (transmitted paths end at the sender's predecessor, so we
    drop [me] from the walk), carrying a random choice of value. *)
-let fabricate st g ~me ~input ~flip =
+let fabricate st g ~paths ~me ~input ~flip =
   let rec walk u acc remaining =
     if remaining = 0 then acc
     else
@@ -137,15 +145,14 @@ let fabricate st g ~me ~input ~flip =
          originator; reverse to get originator-first order. *)
       let path = walk start [ start ] len in
       let value = if Random.State.bool st then input else flip input in
-      Some { Flood.value; path }
+      Some (Flood.wire paths value path)
 
-let junk st g ~me ~input ~flip =
+let junk st g ~paths ~input ~flip =
   let n = Lbc_graph.Graph.size g in
   let len = Random.State.int st (n + 2) in
   let path = List.init len (fun _ -> Random.State.int st (max 1 n)) in
   let value = if Random.State.bool st then input else flip input in
-  ignore me;
-  { Flood.value; path }
+  Flood.wire paths value path
 
 let fstep kind ~g ~paths ~me ~vcompare ~input ~default ~flip ~seed =
   match kind with
@@ -166,22 +173,22 @@ let fstep kind ~g ~paths ~me ~vcompare ~input ~default ~flip ~seed =
   | Flip_forwards ->
       let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let rewrite (m : 'v Flood.wire) =
-        if m.Flood.path = [] then Some m
-        else Some { m with Flood.value = flip m.Flood.value }
+        if m.Flood.pid = P.root then Some m
+        else Some (Flood.with_value m (flip m.Flood.value))
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Flip_from targets ->
       let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let rewrite (m : 'v Flood.wire) =
-        if Nodeset.mem (origin_of me m) targets && m.Flood.path <> [] then
-          Some { m with Flood.value = flip m.Flood.value }
+        if Nodeset.mem (origin_of me m) targets && m.Flood.pid <> P.root then
+          Some (Flood.with_value m (flip m.Flood.value))
         else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Omit_from targets ->
       let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let rewrite (m : 'v Flood.wire) =
-        if Nodeset.mem (origin_of me m) targets && m.Flood.path <> [] then None
+        if Nodeset.mem (origin_of me m) targets && m.Flood.pid <> P.root then None
         else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
@@ -189,7 +196,7 @@ let fstep kind ~g ~paths ~me ~vcompare ~input ~default ~flip ~seed =
       let store = Flood.create g ~me ~vcompare ~paths ~initiate:input ~default () in
       let st = Random.State.make [| seed; me; salt |] in
       let rewrite (m : 'v Flood.wire) =
-        if m.Flood.path <> [] && Random.State.bool st then None else Some m
+        if m.Flood.pid <> P.root && Random.State.bool st then None else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Spurious k ->
@@ -197,7 +204,7 @@ let fstep kind ~g ~paths ~me ~vcompare ~input ~default ~flip ~seed =
       let st = Random.State.make [| seed; me |] in
       let extra ~round =
         ignore round;
-        List.init k (fun _ -> fabricate st g ~me ~input ~flip)
+        List.init k (fun _ -> fabricate st g ~paths ~me ~input ~flip)
         |> List.filter_map Fun.id
         |> List.map (fun m -> Engine.Broadcast m)
       in
@@ -205,7 +212,7 @@ let fstep kind ~g ~paths ~me ~vcompare ~input ~default ~flip ~seed =
   | Noise k ->
       let st = Random.State.make [| seed; me; 1 |] in
       fun ~round:_ ~inbox:_ ->
-        List.init k (fun _ -> Engine.Broadcast (junk st g ~me ~input ~flip))
+        List.init k (fun _ -> Engine.Broadcast (junk st g ~paths ~input ~flip))
   | Equivocate ->
       (* Per-neighbour inconsistency: run an honest store to decide what to
          relay, then unicast true values to even-indexed neighbours and
@@ -222,6 +229,6 @@ let fstep kind ~g ~paths ~me ~vcompare ~input ~default ~flip ~seed =
                 let value =
                   if i land 1 = 0 then m.Flood.value else flip m.Flood.value
                 in
-                Engine.Unicast (v, { m with Flood.value }))
+                Engine.Unicast (v, Flood.with_value m value))
               nbrs)
           outs

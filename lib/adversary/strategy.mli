@@ -58,7 +58,9 @@ val to_string : kind -> string
 (** The CLI's [-s] spelling: ["flip"], ["crash:2"], ["omit:2,3"], ... *)
 
 val of_string : string -> (kind, string) result
-(** Inverse of {!to_string}; also accepts ["flip-forwards"]. *)
+(** Inverse of {!to_string}; also accepts ["flip-forwards"]. A negative
+    [spurious]/[noise] count is an error naming it
+    (["noise:-1: count must be >= 0"]). *)
 
 val fstep :
   kind ->
@@ -78,9 +80,12 @@ val fstep :
     {!Lbc_flood.Flood.create}), [flip] an involution on values used by
     the tampering strategies, and [seed] makes the randomised strategies
     deterministic. [paths] is the intern table of the internal flood
-    store: pass the execution's table, the one its honest stores share,
-    so that a faulty node interns nothing the honest nodes have not (its
-    store would otherwise build and grow a private table per flood). The
-    table is a memo of path facts, so sharing it changes no transmission.
+    store and the [home] of every wire the step transmits, fabricated
+    ones included: pass the execution's table, the one its honest stores
+    share, so that a faulty node interns nothing the honest nodes have
+    not (its store would otherwise build and grow a private table per
+    flood) and its receivers read its wires' ids directly. The table is
+    a memo of path facts, so sharing it changes no transmission (as
+    value and path).
     @raise Invalid_argument if [paths] was created for another graph
     and the kind keeps a flood store. *)

@@ -76,9 +76,6 @@ type t = {
   run : run_info;
 }
 
-val version : int
-(** Artifact format version; serialized as ["lbc-campaign/<version>"]. *)
-
 val no_cache_info : cache_info
 (** All-zero cache tallies, for a run without a cache. *)
 

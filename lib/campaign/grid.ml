@@ -11,7 +11,6 @@ let append ~name grids =
   { name; scenarios = Seq.concat_map (fun g -> g.scenarios) (List.to_seq grids) }
 
 let to_array t = Array.of_seq t.scenarios
-let count t = Seq.length t.scenarios
 
 let shards ~shard_size scenarios =
   if shard_size < 1 then invalid_arg "Grid.shards: shard_size < 1";

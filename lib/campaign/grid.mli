@@ -21,8 +21,6 @@ val append : name:string -> t list -> t
 val to_array : t -> Scenario.t array
 (** Force the enumeration. *)
 
-val count : t -> int
-
 val shards : shard_size:int -> Scenario.t array -> (int * Scenario.t array) array
 (** Partition the enumeration into contiguous shards of [shard_size]
     scenarios (the last may be shorter), as [(shard_index, scenarios)].

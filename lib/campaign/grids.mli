@@ -41,25 +41,15 @@ val e15 : ?quick:bool -> unit -> Grid.t
     bench round-complexity vs simulated-tail-latency table. [quick]
     restricts to the wan profile and drop ∈ {0, 1%}. *)
 
-val chaos_smoke : unit -> Grid.t
-(** Containment smoke for CI: perturbed consensus runs, a scenario that
-    raises {!Lbc_sim.Engine.Model_violation} (Equivocate under local
-    broadcast) and a 110-round Petersen run that exceeds modest
-    [max_rounds] budgets — drives the Crashed and Timed_out verdict
-    paths. *)
-
-val smoke : unit -> Grid.t
-(** The CI smoke campaign: {!e1} with unanimous inputs (220 scenarios) —
-    small enough for a gate, broad enough to cross every strategy. *)
-
-val n100 : unit -> Grid.t
-(** Large-graph smoke: one Algorithm 2 scenario on a 100-node cycle,
-    exercising node ids beyond one bitset word (the former 62-node
-    packing ceiling). *)
-
 val by_name : ?quick:bool -> string -> Grid.t option
 (** Look up ["e1"], ["e1-unanimous"], ["e2"], ["e5"], ["e8"], ["edeg"],
-    ["e15"], ["chaos-smoke"], ["smoke"] or ["n100"]. *)
+    ["e15"], ["chaos-smoke"], ["smoke"] or ["n100"]. The last three are
+    CI gates: ["chaos-smoke"] holds perturbed runs, a scenario that
+    raises {!Lbc_sim.Engine.Model_violation} (Equivocate under local
+    broadcast) and a 110-round Petersen run that exceeds modest
+    [max_rounds] budgets; ["smoke"] is {!e1} with unanimous inputs (220
+    scenarios); ["n100"] is one Algorithm 2 scenario on a 100-node
+    cycle, node ids beyond one bitset word. *)
 
 val names : string list
 (** The accepted {!by_name} arguments, for help text. *)

@@ -46,7 +46,7 @@ type p1_out = {
    rule (i) timing check). Everything else is fabrication that no honest
    node acts on, so reporting it would only pollute attribution. *)
 let timing_valid ~heard_round (m : Bit.t Flood.wire) =
-  List.length m.Flood.path = heard_round - 1
+  Flood.wire_length m = heard_round - 1
 
 let phase1_proc g ~paths ~me ~input =
   let store1 =
@@ -66,11 +66,13 @@ let phase1_proc g ~paths ~me ~input =
   { Engine.step; output = (fun () -> st) }
 
 (* Everything [who] heard in phase 1, with silent neighbours replaced by
-   the default initiation, exactly as the flooding rule treats them. *)
-let with_defaults g ~who heard =
+   the default initiation, exactly as the flooding rule treats them. The
+   defaults go first, so the long log is not copied; [encode] sorts. *)
+let with_defaults sp g ~who heard =
   let initiated =
     List.filter_map
-      (fun (z, (m : Bit.t Flood.wire)) -> if m.Flood.path = [] then Some z else None)
+      (fun (z, (m : Bit.t Flood.wire)) ->
+        if m.Flood.pid = P.root then Some z else None)
       heard
     |> Nodeset.of_list
   in
@@ -79,8 +81,7 @@ let with_defaults g ~who heard =
       (fun w -> not (Nodeset.mem w initiated))
       (G.neighbor_list g who)
   in
-  heard
-  @ List.map (fun w -> (w, { Flood.value = Bit.default; path = [] })) missing
+  List.map (fun w -> (w, Flood.wire sp Bit.default [])) missing @ heard
 
 (* Phase-2 claims.
 
@@ -97,6 +98,12 @@ let with_defaults g ~who heard =
 let key_of ~n ~z ~pid = (pid * n) + z
 let claim_key ~n ~z ~value ~pid = (key_of ~n ~z ~pid * 2) + Bit.to_int value
 
+(* The id of a wire's path in [sp]: the wire's own when [sp] is its
+   home, as for every wire of an execution. *)
+let pid_in sp (m : Bit.t Flood.wire) =
+  if m.Flood.home == sp then m.Flood.pid
+  else P.intern_total sp (Flood.wire_path m)
+
 let compare_claims (a : claims) (b : claims) =
   let la = Array.length a and lb = Array.length b in
   let rec go i =
@@ -111,9 +118,7 @@ let encode sp (reports : report list) : claims =
   List.iteri
     (fun i ((z, m) : report) ->
       if z < 0 || z >= n then invalid_arg "Algorithm2: reporter out of range";
-      a.(i) <-
-        claim_key ~n ~z ~value:m.Flood.value
-          ~pid:(P.intern_total sp m.Flood.path))
+      a.(i) <- claim_key ~n ~z ~value:m.Flood.value ~pid:(pid_in sp m))
     reports;
   (* [Array.stable_sort] is a merge sort; the heap sort of [Array.sort]
      is about 1.6 times slower on 1,300 random ints, a fig1b list. *)
@@ -138,7 +143,7 @@ let decode sp (claims : claims) : report list =
       let x = k asr 1 in
       let z = ((x mod n) + n) mod n in
       let path = P.path_total sp ((x - z) / n) in
-      (z, { Flood.value = Bit.of_int (k land 1); path }) :: acc)
+      (z, Flood.wire sp (Bit.of_int (k land 1)) path) :: acc)
     claims []
 
 (* The first index whose key is at least [k]. *)
@@ -164,7 +169,7 @@ let has_key (claims : claims) key =
 let mem_claim sp claims ~z ~(m : Bit.t Flood.wire) =
   has_claim claims
     (claim_key ~n:(G.size (P.graph sp)) ~z ~value:m.Flood.value
-       ~pid:(P.intern_total sp m.Flood.path))
+       ~pid:(pid_in sp m))
 
 let mem_key sp claims ~z ~path =
   has_key claims
@@ -187,7 +192,7 @@ let flip_claims (claims : claims) : claims =
   done;
   a
 
-let claims_of sp g ~who heard = encode sp (with_defaults g ~who heard)
+let claims_of sp g ~who heard = encode sp (with_defaults sp g ~who heard)
 
 (* A faulty node's heard log, reconstructed from the recorded phase-1
    transcript (it hears every broadcast by a neighbour); like honest
@@ -298,8 +303,6 @@ let own_claims scope ~who heard =
       let claims = claims_of scope.sp scope.g ~who heard in
       scope.own.(who) <- (heard, claims) :: scope.own.(who);
       claims
-
-let pid_of scope path = P.intern_total scope.sp path
 
 (* The canonical copy of the report list [claims] that a record from
    [reporter] carries.
@@ -509,10 +512,10 @@ let attribution_index ?scope g ~me ~heard ~store2 =
   { scope; sent_pid; silent_pid }
 
 let sent (a : attribution) ~f ~z ~(m : Bit.t Flood.wire) =
-  a.sent_pid ~f ~z ~value:m.Flood.value ~pid:(pid_of a.scope m.Flood.path)
+  a.sent_pid ~f ~z ~value:m.Flood.value ~pid:(pid_in a.scope.sp m)
 
 let silent_on (a : attribution) ~f ~z ~path =
-  a.silent_pid ~f ~z ~pid:(pid_of a.scope path)
+  a.silent_pid ~f ~z ~pid:(P.intern_total a.scope.sp path)
 
 let no_evidence = 0
 let tamper = 1

@@ -72,9 +72,10 @@ val rounds : g:Lbc_graph.Graph.t -> int
 (** {1 Phase-2 claims} *)
 
 val encode : Lbc_flood.Path_intern.t -> report list -> claims
-(** The claims of a report list, interning each entry's path once.
-    Entries may repeat and may carry any path, nodes out of range
-    included.
+(** The claims of a report list. An entry whose wire has the table as
+    its home is keyed on the wire's id as it is; any other has its path
+    interned in the table. Entries may repeat and may carry any path,
+    nodes out of range included.
     @raise Invalid_argument if a sender is outside the table's graph. *)
 
 val decode : Lbc_flood.Path_intern.t -> claims -> report list
@@ -90,8 +91,9 @@ val flip_claims : claims -> claims
 
 val mem_claim :
   Lbc_flood.Path_intern.t -> claims -> z:int -> m:Bit.t Lbc_flood.Flood.wire -> bool
-(** Is [(z, m)] an entry of the list? A binary search; interns [m]'s
-    path. *)
+(** Is [(z, m)] an entry of the list? A binary search on [m]'s id when
+    the table is [m]'s home; a wire of another table has its path
+    interned first. *)
 
 val mem_key : Lbc_flood.Path_intern.t -> claims -> z:int -> path:int list -> bool
 (** Is some [(z, m)] with [m]'s path [path] an entry of the list? *)
@@ -158,7 +160,9 @@ val attribution_index :
     or over another intern table than the store's. *)
 
 val sent : attribution -> f:int -> z:int -> m:Bit.t Lbc_flood.Flood.wire -> bool
-(** Reliable positive evidence that [z] transmitted [m] in phase 1. *)
+(** Reliable positive evidence that [z] transmitted [m] in phase 1. [m]
+    is read by its id when it is a wire of the scope's table, and by its
+    path otherwise. *)
 
 val silent_on : attribution -> f:int -> z:int -> path:int list -> bool
 (** Reliable evidence that [z] transmitted {e nothing} whose path

@@ -1,7 +1,5 @@
 type t = Zero | One
 
-let zero = Zero
-let one = One
 let flip = function Zero -> One | One -> Zero
 let default = One
 

@@ -6,9 +6,6 @@
 
 type t = Zero | One
 
-val zero : t
-val one : t
-
 val flip : t -> t
 (** [flip Zero = One] and vice versa. *)
 

@@ -19,8 +19,6 @@ type target =
   | A3 of int  (** Algorithm 3 with the given [t] (hybrid) *)
   | Relay  (** Dolev-relayed EIG (point-to-point) *)
 
-val pp_target : Format.formatter -> target -> unit
-
 type violation = {
   case_seed : int;  (** reproduce with the same graph/f/target and this seed *)
   faulty : Lbc_graph.Nodeset.t;

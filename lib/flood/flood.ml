@@ -2,7 +2,14 @@ module Nodeset = Lbc_graph.Nodeset
 module G = Lbc_graph.Graph
 module P = Path_intern
 
-type 'v wire = { value : 'v; path : Lbc_sim.Engine.node_id list }
+type 'v wire = { value : 'v; pid : P.id; home : P.t }
+
+let wire home value path = { value; pid = P.intern_total home path; home }
+let with_value m value = { m with value }
+let wire_path m = P.path_total m.home m.pid
+
+let wire_length m =
+  if m.pid >= 0 then P.length m.home m.pid else List.length (wire_path m)
 
 (* One accepted record. The full delivery path (origin .. me) is kept as
    its interned id; the two bitset views every acceptance query needs
@@ -77,7 +84,7 @@ let create g ~me ~vcompare ?paths ?initiate ?default () =
     }
   in
   (match initiate with
-  | Some v -> record store (P.intern store.paths [ me ]) v
+  | Some v -> record store (P.extend store.paths P.root me) v
   | None -> ());
   store
 
@@ -121,7 +128,13 @@ let seen_add t rid =
 (* Rules (i)-(iv). [from] is the transmitting neighbour, [round] the
    engine round in which the message arrived. *)
 let handle t ~round ~from (m : 'v wire) =
-  let pid = P.intern t.paths m.path in
+  (* A wire of our own table carries its id; any other is re-interned
+     from its list. An exotic id (a path with an out-of-range node) is
+     negative and fails rule (i) below, like [P.invalid]. *)
+  let pid =
+    if m.home == t.paths then m.pid
+    else P.intern t.paths (wire_path m)
+  in
   let rid = P.extend t.paths pid from in
   (* Rule (i): Π·u must be a simple path of G starting at the originator;
      physically the sender must also be our neighbour; and the timing
@@ -129,7 +142,7 @@ let handle t ~round ~from (m : 'v wire) =
      The length and the simple-path validity are intern-time facts: no
      per-message list walk. *)
   if
-    pid = P.invalid
+    pid < 0
     || P.length t.paths pid <> round - 1
     || (not (G.mem_edge t.g from t.me))
     || not (P.is_path t.paths rid)
@@ -154,7 +167,7 @@ let handle t ~round ~from (m : 'v wire) =
         (* Rule (iv): accept and forward. *)
         Lbc_obs.Obs.incr "flood.accept";
         record t (P.extend t.paths rid t.me) m.value;
-        Some { value = m.value; path = P.path t.paths rid }
+        Some { value = m.value; pid = rid; home = t.paths }
       end
     end
   end
@@ -175,8 +188,9 @@ let synthesize_defaults t =
             if seen_mem t (P.find t.paths P.root w) then None
             else begin
               Lbc_obs.Obs.incr "flood.default_synthesized";
-              record t (P.intern t.paths [ w; t.me ]) d;
-              Some { value = d; path = [ w ] }
+              let wid = P.extend t.paths P.root w in
+              record t (P.extend t.paths wid t.me) d;
+              Some { value = d; pid = wid; home = t.paths }
             end)
           (G.neighbor_list t.g t.me)
   end
@@ -185,7 +199,9 @@ let proc t : ('v wire, 'v store) Lbc_sim.Engine.proc =
   let step ~round ~inbox =
     let initiations =
       if round = 0 then
-        match t.initiate with Some v -> [ { value = v; path = [] } ] | None -> []
+        match t.initiate with
+        | Some v -> [ { value = v; pid = P.root; home = t.paths } ]
+        | None -> []
       else []
     in
     let forwards =

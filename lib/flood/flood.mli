@@ -39,26 +39,56 @@
     size is not capped by the machine word.
 
     Internally every path annotation is interned ({!Path_intern}, one
-    table per store unless the caller shares one): the rule-(ii) key
-    [(u, Π)] is the trie id of [Π·u], so the dedup table is a bitset over
-    trie ids; the record store keys on the full path's id ({!Itbl});
-    rule (i)'s timing/validity checks read intern-time
-    facts, record node-sets are bitsets built once at accept time, and
-    disjoint-path certificates are memoised per store
+    table per store unless the caller shares one), and a wire carries
+    its path as an id of its sender's table, not as a list. A receiver
+    that shares the sender's table — the stores of an Algorithm 1, 2 or
+    3 [run] all share one — reads the id as it is: receiving a message
+    walks no list. A wire from any other table is re-interned from its
+    list. The rule-(ii) key [(u, Π)] is the trie id of [Π·u], so the
+    dedup table is a bitset over trie ids; the record store keys on the
+    full path's id ({!Itbl}); rule (i)'s timing/validity checks read
+    intern-time facts, record node-sets are bitsets built once at accept
+    time, and disjoint-path certificates are memoised per store
     ({!Packing.Cache}, counters [packing.cache_hit]/[packing.cache_miss]).
     An intern table grows by a few words per distinct path prefix (it
     keeps parent links, not lists), and a path's node list is built only
-    when something reads it — a forward's wire path or a record's path in
-    {!records}/{!iter_records} — once per path, then shared. Stores that
-    share a table (the [paths] argument of {!create}) also share those
-    prefixes and lists.
-    None of this is observable: records, forwards and query results are
-    byte-identical to the direct list-keyed implementation (a retained
-    reference copy is QCheck-tested against this module). *)
+    when something reads it — {!wire_path}, or a record's path in
+    {!records}/{!iter_records}/{!value_along} — once per path, then
+    shared. A forward is an id, so relaying builds no list at all.
+    None of this is observable: records, forwards (as value and path)
+    and query results are byte-identical to the direct list-keyed
+    implementation (a retained reference copy is QCheck-tested against
+    this module). *)
 
-type 'v wire = { value : 'v; path : Lbc_sim.Engine.node_id list }
+type 'v wire = private {
+  value : 'v;
+  pid : Path_intern.id;
+  home : Path_intern.t;
+}
 (** On-the-wire message: the flooded value and the route up to the
-    transmitter's predecessor. *)
+    transmitter's predecessor, as the id [pid] of that route in the
+    table [home] (its sender's). [pid] is {!Path_intern.root} exactly
+    when the route is empty (an initiation), and negative exactly when
+    the route names a node outside [home]'s graph (an exotic id of
+    {!Path_intern.intern_total}). Wires hold a mutable table: compare
+    them by {!wire_path} and [value], never with polymorphic
+    [=]/[compare]/[Hashtbl.hash]. *)
+
+val wire : Path_intern.t -> 'v -> int list -> 'v wire
+(** [wire home v path] is the message [(v, path)] over the table
+    [home]; [path] may be any list, nodes out of range included
+    ({!Path_intern.intern_total}). *)
+
+val with_value : 'v wire -> 'v -> 'v wire
+(** The same route carrying another value. *)
+
+val wire_path : 'v wire -> int list
+(** The route, origin first (built once per route and memoised in
+    [home]). *)
+
+val wire_length : 'v wire -> int
+(** [List.length (wire_path m)], read from the table for any route
+    inside the graph. *)
 
 type 'v store
 (** Per-node flooding state and received-record store. *)
@@ -83,8 +113,9 @@ val create :
     deemed to have flooded [default] (the paper's missing-message rule).
     Omit [default] for floods in which only some nodes initiate
     (Algorithm 2 phase 3). [paths] is the path intern table the store
-    uses; the stores of one execution may share one, which changes no
-    result (default: a private table).
+    uses and the [home] of its transmissions; the stores of one
+    execution may share one, which changes no result and makes
+    receiving a message O(1) (default: a private table).
     @raise Invalid_argument if [paths] was created for another graph. *)
 
 val proc : 'v store -> ('v wire, 'v store) Lbc_sim.Engine.proc
@@ -110,6 +141,12 @@ val handle : 'v store -> round:int -> from:int -> 'v wire -> 'v wire option
     [Some fwd] means the message was accepted and [fwd] should be
     broadcast. Exposed for unit tests and adversarial wrappers; {!proc}
     uses it internally.
+
+    A message whose [home] is this store's table is checked on its id
+    alone: no list is walked and nothing is interned but the relayed
+    route [Π·u] and the record [Π·u·me]. A message from another table
+    is re-interned from {!wire_path} first. Either way the forward is a
+    wire of this store's table.
 
     Rule (i) includes the {e synchronous timing check}: a message
     [(b, Π)] is acceptable only in round [|Π| + 1], because honest

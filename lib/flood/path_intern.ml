@@ -26,8 +26,10 @@
    on [parent * n + node].
 
    Ids are meaningful only relative to the table that produced them
-   (they are allocation-ordered), so they are never serialized and never
-   cross an execution boundary; see README.md "Performance". *)
+   (they are allocation-ordered), so they are never serialized. A flood
+   wire carries its id together with its table, and a receiver keyed on
+   another table re-interns the wire's list; see README.md
+   "Performance". *)
 
 module G = Lbc_graph.Graph
 

@@ -26,13 +26,16 @@
 
     A table is mutable and belongs to one domain. The flood stores of
     one execution may share one table (see {!Flood.create}), so that a
-    path the whole network relays is interned, and its list built, once
-    per execution rather than once per node.
+    path the whole network relays is interned once per execution rather
+    than once per node, and a message between two of them is an id.
 
     Invariants: ids are dense, allocation-ordered, and {e per table} —
-    they mean nothing to any other table or execution and are never
-    serialized (artifacts and fingerprints only ever see the underlying
-    node lists, which {!path} returns in origin-first wire order).
+    they mean nothing to any other table. A flood wire therefore carries
+    its table beside its id ({!Flood.wire}); a receiver keyed on another
+    table re-interns the wire's list ({!path_total}) instead of reading
+    the id. Ids are never serialized (artifacts and fingerprints only
+    ever see the underlying node lists, which {!path} returns in
+    origin-first wire order).
     Interning never fails: a path mentioning a node outside
     [0 .. size g - 1] maps to {!invalid}, which all queries treat as
     "not a path of [g]". Non-simple paths (repeated nodes, missing

@@ -925,12 +925,6 @@ let assemble (summaries : summary list) =
     exports = List.rev !exports;
   }
 
-let build (units : Cmt_load.unit_info list) =
-  let unit_names =
-    unit_names_of (List.map (fun (u : Cmt_load.unit_info) -> u.unit_name) units)
-  in
-  assemble (List.map (summarize ~unit_names) units)
-
 (* ------------------------------------------------------------------ *)
 (* Reachability                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -115,8 +115,6 @@ val summarize :
     the unit's own annotations and [unit_names] — the cache key. *)
 
 val assemble : summary list -> t
-val build : Cmt_load.unit_info list -> t
-(** [build us = assemble (List.map (summarize ~unit_names) us)]. *)
 
 val find : t -> string -> def option
 val defs_in_order : t -> def list

@@ -125,55 +125,3 @@ let load_paths paths =
   (units, List.rev !errs)
 
 let source_skipped = skipped
-
-let load ?(skip_components = []) dirs =
-  let files, errs = walk dirs in
-  let tbl : (string, unit_info) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  let errs = ref errs in
-  let note_error path msg = errs := (path ^ ": " ^ msg) :: !errs in
-  List.iter
-    (fun path ->
-      match Cmt_format.read_cmt path with
-      | exception Sys_error m -> note_error path m
-      | exception Cmt_format.Error (Cmt_format.Not_a_typedtree m) ->
-          note_error path ("not a typedtree: " ^ m)
-      | exception _ -> note_error path "unreadable cmt file"
-      | cmt -> (
-          match cmt.Cmt_format.cmt_sourcefile with
-          | None -> ()
-          | Some source when generated source -> ()
-          | Some source when skipped ~skip_components source -> ()
-          | Some source ->
-              let name = cmt.Cmt_format.cmt_modname in
-              let info =
-                match Hashtbl.find_opt tbl name with
-                | Some i -> i
-                | None ->
-                    order := name :: !order;
-                    {
-                      unit_name = name;
-                      impl_source = None;
-                      intf_source = None;
-                      structure = None;
-                      signature = None;
-                    }
-              in
-              let info =
-                match cmt.Cmt_format.cmt_annots with
-                | Cmt_format.Implementation str ->
-                    { info with impl_source = Some source;
-                      structure = Some str }
-                | Cmt_format.Interface sg ->
-                    { info with intf_source = Some source;
-                      signature = Some sg }
-                | _ -> info
-              in
-              Hashtbl.replace tbl name info))
-    files;
-  let units =
-    List.rev !order
-    |> List.filter_map (Hashtbl.find_opt tbl)
-    |> List.sort (fun a b -> String.compare a.unit_name b.unit_name)
-  in
-  (units, List.rev !errs)

@@ -18,14 +18,6 @@ type unit_info = {
   signature : Typedtree.signature option;  (** from the [.cmti] *)
 }
 
-val load :
-  ?skip_components:string list -> string list -> unit_info list * string list
-(** [load dirs] recursively scans [dirs] for [.cmt]/[.cmti] files and
-    returns the loaded units sorted by unit name, plus the load errors
-    (unreadable directory, corrupt annotation file). Dune's generated
-    library-alias units ([.ml-gen] sources) are dropped, as is any unit
-    whose source path contains a component of [skip_components]. *)
-
 val discover : string list -> string list * string list
 (** The walk alone: sorted [.cmt]/[.cmti] paths under the given
     directories plus directory errors, nothing deserialised — the

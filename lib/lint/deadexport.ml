@@ -23,18 +23,6 @@
 
 let lib_scope file = List.mem "lib" (String.split_on_char '/' file)
 
-let library_of unit_name =
-  match Callgraph.contains_sub unit_name "__" with
-  | false -> unit_name
-  | true ->
-      let n = String.length unit_name in
-      let rec cut i =
-        if i + 2 > n then unit_name
-        else if String.sub unit_name i 2 = "__" then String.sub unit_name 0 i
-        else cut (i + 1)
-      in
-      cut 0
-
 (* unit of a canonical key: the part before the first '.' *)
 let unit_of_key key =
   match String.index_opt key '.' with

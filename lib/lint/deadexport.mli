@@ -5,6 +5,4 @@
     neighbours (their use {e requires} the export), executables, tests.
     Functor-argument units are exempt. *)
 
-val library_of : string -> string
-
 val run : Callgraph.t -> Rules.finding list

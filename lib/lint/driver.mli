@@ -48,8 +48,6 @@ val analyze :
 
 val exit_code : outcome -> int
 
-val render_human : Format.formatter -> outcome -> unit
-
 val render_json : Format.formatter -> outcome -> unit
 (** Format ["lbclint/3"]: lbclint/2 plus a ["deep"] stats object
     ([units]/[cache_hits]/[cache_misses], [null] when the deep pass did

@@ -5,6 +5,4 @@
     constructed under a path containing an [adversary] or [lowerbound]
     component. Lib scope only. *)
 
-val exempt_components : string list
-
 val run : Callgraph.t -> Rules.finding list

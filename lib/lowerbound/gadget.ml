@@ -37,7 +37,6 @@ type t = {
     (int * int * Bit.t Flood.wire Engine.delivery) list option;
 }
 
-let g t = t.g
 let network_size t = t.m
 let describe t = t.description
 let e2_faulty t = t.e2_faulty

@@ -27,9 +27,6 @@ type proc_family =
 type t
 (** A constructed gadget network. *)
 
-val g : t -> Lbc_graph.Graph.t
-(** The original graph. *)
-
 val network_size : t -> int
 (** Number of 𝒢-nodes. *)
 

@@ -106,7 +106,6 @@ let make cprofile ~seed =
 
 let profile c = c.cprofile
 let seed c = c.cseed
-let sim_ns c = c.total_ns
 
 let mix64 z =
   let open Int64 in

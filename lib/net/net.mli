@@ -96,9 +96,6 @@ val link_latency_ns : ctx -> round:int -> sender:int -> receiver:int -> int
     + jitter(round, link)], ns. Pure in the coordinates — the engine and
     the tests see the same numbers. *)
 
-val sim_ns : ctx -> int
-(** Simulated time accumulated so far (sum of round durations), ns. *)
-
 (** {1 Engine hooks}
 
     Called by {!Lbc_sim.Engine.run} when a context is installed. The

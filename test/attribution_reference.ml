@@ -20,7 +20,7 @@
 
    Phase-2 records carry claim arrays; the reference reads each one back
    as a report list through [Algorithm2.decode] and works on the lists
-   only. *)
+   only, each message as its (value, path) pair. *)
 
 module G = Lbc_graph.Graph
 module Flood = Lbc_flood.Flood
@@ -28,7 +28,12 @@ module Packing = Lbc_flood.Packing
 module Bit = Lbc_consensus.Bit
 module A2 = Lbc_consensus.Algorithm2
 
-type report = int * Bit.t Flood.wire
+type report = int * (Bit.t * int list)
+
+let of_wires (l : A2.report list) : report list =
+  List.map
+    (fun (z, (m : Bit.t Flood.wire)) -> (z, (m.Flood.value, Flood.wire_path m)))
+    l
 
 type t = {
   g : G.t;
@@ -42,16 +47,15 @@ type t = {
          query many times *)
 }
 
-let create g ~me ~(heard : report list) ~(store2 : A2.claims Flood.store) =
+let create g ~me ~(heard : A2.report list) ~(store2 : A2.claims Flood.store)
+    =
+  let heard = of_wires heard in
   let defaults =
     List.filter_map
       (fun w ->
-        if
-          List.exists
-            (fun (z, (m : Bit.t Flood.wire)) -> z = w && m.Flood.path = [])
-            heard
-        then None
-        else Some (w, { Flood.value = Bit.default; path = [] }))
+        if List.exists (fun (z, (_, path)) -> z = w && path = []) heard then
+          None
+        else Some (w, (Bit.default, [])))
       (G.neighbor_list g me)
   in
   let tbl = Hashtbl.create 64 and order = ref [] in
@@ -62,7 +66,7 @@ let create g ~me ~(heard : report list) ~(store2 : A2.claims Flood.store) =
     match List.assq_opt claims !decoded with
     | Some reports -> reports
     | None ->
-        let reports = A2.decode (Flood.paths store2) claims in
+        let reports = of_wires (A2.decode (Flood.paths store2) claims) in
         decoded := (claims, reports) :: !decoded;
         reports
   in
@@ -94,17 +98,13 @@ let supported t ~f ~z ~keep =
   in
   Packing.count masks ~limit:(f + 1) >= f + 1
 
-let has_claim ~z ~(m : Bit.t Flood.wire) reports =
+let has_claim ~z ~value ~path (reports : report list) =
   List.exists
-    (fun (z', (m' : Bit.t Flood.wire)) ->
-      z' = z && Bit.equal m'.Flood.value m.Flood.value
-      && m'.Flood.path = m.Flood.path)
+    (fun (z', (v', p')) -> z' = z && Bit.equal v' value && p' = path)
     reports
 
-let has_key ~z ~path reports =
-  List.exists
-    (fun (z', (m' : Bit.t Flood.wire)) -> z' = z && m'.Flood.path = path)
-    reports
+let has_key ~z ~path (reports : report list) =
+  List.exists (fun (z', (_, p')) -> z' = z && p' = path) reports
 
 let memo t key answer =
   match Hashtbl.find_opt t.answers key with
@@ -114,11 +114,11 @@ let memo t key answer =
       Hashtbl.replace t.answers key b;
       b
 
-let sent t ~f ~z ~(m : Bit.t Flood.wire) =
-  memo t (f, z, Bit.to_int m.Flood.value, m.Flood.path) (fun () ->
+let sent t ~f ~z ~value ~path =
+  memo t (f, z, Bit.to_int value, path) (fun () ->
       if z = t.me then false
-      else if G.mem_edge t.g z t.me then has_claim ~z ~m t.direct
-      else supported t ~f ~z ~keep:(has_claim ~z ~m))
+      else if G.mem_edge t.g z t.me then has_claim ~z ~value ~path t.direct
+      else supported t ~f ~z ~keep:(has_claim ~z ~value ~path))
 
 let silent_on t ~f ~z ~path =
   memo t (f, z, -1, path) (fun () ->

@@ -6,6 +6,9 @@
    store on random graphs, adversaries and chaos specs and asserts the
    observable behaviour is identical.
 
+   Its wires carry their path as a list, as the historical ones did;
+   test_flood_equiv hands it each production wire as (value, path).
+
    Two deliberate differences from the historical code: the
    bootstrap-aliasing bug is fixed here too (synthesized defaults get a
    dedicated table instead of burning the rule-(ii) key [(w, ⊥)]), so
@@ -16,10 +19,7 @@ module Nodeset = Lbc_graph.Nodeset
 module G = Lbc_graph.Graph
 module Packing = Lbc_flood.Packing
 
-type 'v wire = 'v Lbc_flood.Flood.wire = {
-  value : 'v;
-  path : Lbc_sim.Engine.node_id list;
-}
+type 'v wire = { value : 'v; path : Lbc_sim.Engine.node_id list }
 
 type 'v store = {
   g : G.t;

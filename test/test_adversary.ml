@@ -11,90 +11,103 @@ module Nodeset = Lbc_graph.Nodeset
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* A faulty node on the 5-cycle, and a maker of wires of its table. *)
 let mk kind ~me ?(seed = 0) () =
   let g = B.cycle 5 in
-  (g,
-    S.fstep kind ~g ~paths:(Lbc_flood.Path_intern.create g) ~me
-      ~vcompare:Int.compare ~input:1 ~default:9 ~flip:(fun v -> -v) ~seed)
+  let paths = Lbc_flood.Path_intern.create g in
+  ( g,
+    Flood.wire paths,
+    S.fstep kind ~g ~paths ~me ~vcompare:Int.compare ~input:1 ~default:9
+      ~flip:(fun v -> -v) ~seed )
+
+(* Wires hold their table: compare them as (value, path). *)
+let view (m : int Flood.wire) = (m.Flood.value, Flood.wire_path m)
+
+let deliveries out =
+  List.map
+    (function
+      | Engine.Broadcast m -> (None, view m)
+      | Engine.Unicast (v, m) -> (Some v, view m))
+    out
 
 let broadcasts out =
   List.filter_map
-    (function Engine.Broadcast m -> Some m | Engine.Unicast _ -> None)
+    (function Engine.Broadcast m -> Some (view m) | Engine.Unicast _ -> None)
     out
 
 let test_silent () =
-  let _, f = mk S.Silent ~me:0 () in
+  let _, w, f = mk S.Silent ~me:0 () in
   check "nothing at 0" true (f ~round:0 ~inbox:[] = []);
   check "nothing later" true
-    (f ~round:3 ~inbox:[ (1, { Flood.value = 5; path = [] }) ] = [])
+    (f ~round:3 ~inbox:[ (1, w 5 []) ] = [])
 
 let test_honest_behavior () =
-  let _, f = mk S.Honest_behavior ~me:0 () in
+  let _, w, f = mk S.Honest_behavior ~me:0 () in
   let out = f ~round:0 ~inbox:[] in
   check "initiates" true
-    (broadcasts out = [ { Flood.value = 1; path = [] } ]);
-  let out1 = f ~round:1 ~inbox:[ (1, { Flood.value = 5; path = [] }) ] in
+    (broadcasts out = [ (1, []) ]);
+  let out1 = f ~round:1 ~inbox:[ (1, w 5 []) ] in
   (* forwards 1's initiation, plus the default for silent neighbour 4 *)
   check "forwards" true
-    (List.mem { Flood.value = 5; path = [ 1 ] } (broadcasts out1));
+    (List.mem (5, [ 1 ]) (broadcasts out1));
   check "defaults synthesized" true
-    (List.mem { Flood.value = 9; path = [ 4 ] } (broadcasts out1))
+    (List.mem (9, [ 4 ]) (broadcasts out1))
 
 let test_crash_at () =
-  let _, f = mk (S.Crash_at 1) ~me:0 () in
+  let _, w, f = mk (S.Crash_at 1) ~me:0 () in
   check "alive at 0" true (f ~round:0 ~inbox:[] <> []);
   check "dead at 1" true
-    (f ~round:1 ~inbox:[ (1, { Flood.value = 5; path = [] }) ] = [])
+    (f ~round:1 ~inbox:[ (1, w 5 []) ] = [])
 
 let test_lie () =
-  let _, f = mk S.Lie ~me:0 () in
+  let _, _, f = mk S.Lie ~me:0 () in
   check "flipped initiation" true
-    (broadcasts (f ~round:0 ~inbox:[]) = [ { Flood.value = -1; path = [] } ])
+    (broadcasts (f ~round:0 ~inbox:[]) = [ (-1, []) ])
 
 let test_flip_forwards () =
-  let _, f = mk S.Flip_forwards ~me:0 () in
+  let _, w, f = mk S.Flip_forwards ~me:0 () in
   check "own initiation intact" true
-    (broadcasts (f ~round:0 ~inbox:[]) = [ { Flood.value = 1; path = [] } ]);
-  let out = f ~round:1 ~inbox:[ (1, { Flood.value = 5; path = [] }) ] in
+    (broadcasts (f ~round:0 ~inbox:[]) = [ (1, []) ]);
+  let out = f ~round:1 ~inbox:[ (1, w 5 []) ] in
   check "forward flipped" true
-    (List.mem { Flood.value = -5; path = [ 1 ] } (broadcasts out))
+    (List.mem (-5, [ 1 ]) (broadcasts out))
 
 let test_flip_from () =
-  let _, f = mk (S.Flip_from (Nodeset.singleton 2)) ~me:0 () in
+  let _, w, f = mk (S.Flip_from (Nodeset.singleton 2)) ~me:0 () in
   (* deliver each message in its timing-valid round *)
-  let out1 = f ~round:1 ~inbox:[ (1, { Flood.value = 5; path = [] }) ] in
-  let out2 = f ~round:2 ~inbox:[ (1, { Flood.value = 7; path = [ 2 ] }) ] in
+  let out1 = f ~round:1 ~inbox:[ (1, w 5 []) ] in
+  let out2 = f ~round:2 ~inbox:[ (1, w 7 [ 2 ]) ] in
   check "other origin intact" true
-    (List.mem { Flood.value = 5; path = [ 1 ] } (broadcasts out1));
+    (List.mem (5, [ 1 ]) (broadcasts out1));
   check "target origin flipped" true
-    (List.mem { Flood.value = -7; path = [ 2; 1 ] } (broadcasts out2))
+    (List.mem (-7, [ 2; 1 ]) (broadcasts out2))
 
 let test_spurious_well_formed () =
-  let g, f = mk (S.Spurious 3) ~me:0 () in
+  let g, _, f = mk (S.Spurious 3) ~me:0 () in
   let out = f ~round:0 ~inbox:[] in
   (* All fabricated messages must still be well-formed G-paths ending next
      to the sender (they are lies, not garbage). *)
   List.iter
-    (fun (m : int Flood.wire) ->
-      if m.Flood.path <> [] then begin
-        check "path valid" true (G.is_path g m.Flood.path);
-        let last = List.nth m.Flood.path (List.length m.Flood.path - 1) in
+    (fun (_, path) ->
+      if path <> [] then begin
+        check "path valid" true (G.is_path g path);
+        let last = List.nth path (List.length path - 1) in
         check "adjacent to sender" true (G.mem_edge g last 0)
       end)
     (broadcasts out)
 
 let test_determinism () =
-  let _, f1 = mk (S.Noise 2) ~me:0 ~seed:5 () in
-  let _, f2 = mk (S.Noise 2) ~me:0 ~seed:5 () in
-  let _, f3 = mk (S.Noise 2) ~me:0 ~seed:6 () in
+  let _, _, f1 = mk (S.Noise 2) ~me:0 ~seed:5 () in
+  let _, _, f2 = mk (S.Noise 2) ~me:0 ~seed:5 () in
+  let _, _, f3 = mk (S.Noise 2) ~me:0 ~seed:6 () in
   let o1 = f1 ~round:0 ~inbox:[] in
   let o2 = f2 ~round:0 ~inbox:[] in
   let o3 = f3 ~round:0 ~inbox:[] in
-  check "same seed same output" true (o1 = o2);
-  check "different seed differs" true (o1 <> o3)
+  check "same seed same output" true (deliveries o1 = deliveries o2);
+  check "different seed differs" true (deliveries o1 <> deliveries o3)
 
 let test_equivocate_unicasts () =
-  let _, f = mk S.Equivocate ~me:0 () in
+  let _, _, f = mk S.Equivocate ~me:0 () in
   let out = f ~round:0 ~inbox:[] in
   check "only unicasts" true
     (List.for_all (function Engine.Unicast _ -> true | _ -> false) out);
@@ -131,7 +144,16 @@ let test_spelling_roundtrip () =
     (S.of_string "flip-forwards" = Ok S.Flip_forwards);
   List.iter
     (fun bad -> check bad true (Result.is_error (S.of_string bad)))
-    [ ""; "bogus"; "crash"; "crash:x"; "omit:1,-2"; "noise:1:2"; "flip-from:a" ]
+    [ ""; "bogus"; "crash"; "crash:x"; "omit:1,-2"; "noise:1:2"; "flip-from:a" ];
+  (* A negative count would only fail once the strategy runs. *)
+  List.iter
+    (fun bad ->
+      Alcotest.(check (result unit string))
+        bad
+        (Error (bad ^ ": count must be >= 0"))
+        (Result.map ignore (S.of_string bad)))
+    [ "noise:-1"; "spurious:-2" ];
+  check "zero count" true (S.of_string "noise:0" = Ok (S.Noise 0))
 
 (* A faulty store's intern table is a memo of path facts: whether it is
    private or the one the honest stores intern into, every kind must
@@ -166,8 +188,11 @@ let test_shared_table () =
       if S.broadcast_bound kind then Engine.Local_broadcast
       else Engine.Point_to_point
     in
-    (Engine.run ~record:true topo ~model ~rounds:(Flood.rounds_needed g) ~roles)
-      .Engine.transcript
+    List.map
+      (fun (round, sender, d) -> (round, sender, deliveries [ d ]))
+      (Engine.run ~record:true topo ~model ~rounds:(Flood.rounds_needed g)
+         ~roles)
+        .Engine.transcript
   in
   List.iter
     (fun kind ->

@@ -227,22 +227,26 @@ let prop_random_f1_cycleplus =
    (walks of the graph), junk paths (nodes out of range included, as
    Noise puts into heard logs), exact duplicates, and both values for
    one (z, path). *)
-type entry = int * Bit.t Lbc_flood.Flood.wire
+type entry = int * (Bit.t * int list)
+(* A report (z, m) with m as (value, path): wires hold their table, so
+   the lists are built, compared and flipped in this form. *)
 
-let compare_entry ((z1, m1) : entry) ((z2, m2) : entry) =
+let compare_entry ((z1, (v1, p1)) : entry) ((z2, (v2, p2)) : entry) =
   match Int.compare z1 z2 with
   | 0 -> (
-      match Bit.compare m1.Lbc_flood.Flood.value m2.Lbc_flood.Flood.value with
-      | 0 -> List.compare Int.compare m1.Lbc_flood.Flood.path m2.Lbc_flood.Flood.path
+      match Bit.compare v1 v2 with
+      | 0 -> List.compare Int.compare p1 p2
       | c -> c)
   | c -> c
 
 let as_set l = List.sort_uniq compare_entry l
+let flip_entries l = List.map (fun (z, (v, p)) -> (z, (Bit.flip v, p))) l
+let reports t l = List.map (fun (z, (v, p)) -> (z, Lbc_flood.Flood.wire t v p)) l
 
-let flip_entries l =
+let entries (l : A2.report list) =
   List.map
     (fun (z, (m : Bit.t Lbc_flood.Flood.wire)) ->
-      (z, { m with Lbc_flood.Flood.value = Bit.flip m.Lbc_flood.Flood.value }))
+      (z, (m.Lbc_flood.Flood.value, Lbc_flood.Flood.wire_path m)))
     l
 
 (* A random graph and two report lists over it: [l2] is [l1] shuffled
@@ -269,7 +273,7 @@ let claims_case (n, seed) =
     | _ -> List.init (int (n + 2)) (fun _ -> int (n + 2) - 1)
   in
   let entry () : entry =
-    (int n, { Lbc_flood.Flood.value = Bit.of_int (int 2); path = path () })
+    (int n, (Bit.of_int (int 2), path ()))
   in
   let l1 = List.init (int 25) (fun _ -> entry ()) in
   let l1 =
@@ -277,7 +281,7 @@ let claims_case (n, seed) =
       (fun ((z, m) as e) ->
         match int 4 with
         | 0 -> [ e; e ]
-        | 1 -> [ e; (z, { m with Lbc_flood.Flood.value = Bit.flip m.Lbc_flood.Flood.value }) ]
+        | 1 -> [ e; (z, (Bit.flip (fst m), snd m)) ]
         | _ -> [ e ])
       l1
   in
@@ -293,8 +297,7 @@ let claims_case (n, seed) =
     | 2, _ -> shuffle (entry () :: l1)
     | _, (z, m) :: rest ->
         shuffle
-          ((z, { m with Lbc_flood.Flood.value = Bit.flip m.Lbc_flood.Flood.value })
-          :: rest)
+          ((z, (Bit.flip (fst m), snd m)) :: rest)
   in
   let queries = List.init 20 (fun _ -> entry ()) @ l1 @ flip_entries l1 in
   (g, l1, l2, queries)
@@ -307,32 +310,34 @@ let prop_claims =
       else begin
         let g, l1, l2, queries = claims_case case in
         let t = Lbc_flood.Path_intern.create g in
-        let c1 = A2.encode t l1 and c2 = A2.encode t l2 in
+        let c1 = A2.encode t (reports t l1) and c2 = A2.encode t (reports t l2) in
+        (* Wires of another table are read through their paths. *)
+        let foreign =
+          A2.encode t (reports (Lbc_flood.Path_intern.create g) l1) = c1
+        in
         let equal_iff =
           (A2.compare_claims c1 c2 = 0) = (as_set l1 = as_set l2)
           && (A2.compare_claims c1 c2 = 0) = (c1 = c2)
         in
         let flip_commutes =
-          A2.flip_claims c1 = A2.encode t (flip_entries l1)
+          A2.flip_claims c1 = A2.encode t (reports t (flip_entries l1))
           && A2.flip_claims (A2.flip_claims c1) = c1
         in
         let mem_agrees =
           List.for_all
-            (fun ((z, (m : Bit.t Lbc_flood.Flood.wire)) as e) ->
-              A2.mem_claim t c1 ~z ~m = List.exists (fun e' -> compare_entry e e' = 0) l1
-              && A2.mem_key t c1 ~z ~path:m.Lbc_flood.Flood.path
-                 = List.exists
-                     (fun (z', (m' : Bit.t Lbc_flood.Flood.wire)) ->
-                       z' = z && m'.Lbc_flood.Flood.path = m.Lbc_flood.Flood.path)
-                     l1)
+            (fun ((z, (v, path)) as e) ->
+              A2.mem_claim t c1 ~z ~m:(Lbc_flood.Flood.wire t v path)
+              = List.exists (fun e' -> compare_entry e e' = 0) l1
+              && A2.mem_key t c1 ~z ~path
+                 = List.exists (fun (z', (_, p')) -> z' = z && p' = path) l1)
             queries
         in
         let decodes =
-          as_set (A2.decode t c1) = as_set l1
+          as_set (entries (A2.decode t c1)) = as_set l1
           && List.length (A2.decode t c1) = List.length (as_set l1)
           && A2.encode t (A2.decode t c1) = c1
         in
-        equal_iff && flip_commutes && mem_agrees && decodes
+        equal_iff && foreign && flip_commutes && mem_agrees && decodes
       end)
 
 (* A claim key means something only in the table that made it: a scope
@@ -396,7 +401,7 @@ let replay ?scope g ~f ~(t : A2.traced) v =
             List.exists
               (fun b ->
                 A2.sent learns ~f ~z
-                  ~m:{ Lbc_flood.Flood.value = Bit.flip b; path = prefix })
+                  ~m:(Lbc_flood.Flood.wire (Lbc_flood.Flood.paths store2) (Bit.flip b) prefix))
               (Lbc_flood.Flood.reliable_values ~f store1 ~origin:w)
         | _ -> A2.silent_on learns ~f ~z ~path:prefix
       in
@@ -412,7 +417,7 @@ let run_table (t : A2.traced) =
 
 (* An attribution query of the plain scan, for checking its answers. *)
 type query =
-  | Sent of int * Bit.t Lbc_flood.Flood.wire
+  | Sent of int * Bit.t * int list
   | Silent of int * int list
 
 let plain_scan ?scope ?(answered = fun _ _ -> ()) g ~f ~(t : A2.traced) v =
@@ -424,7 +429,9 @@ let plain_scan ?scope ?(answered = fun _ _ -> ()) g ~f ~(t : A2.traced) v =
       let ask q =
         let a =
           match q with
-          | Sent (z, m) -> A2.sent learns ~f ~z ~m
+          | Sent (z, value, path) ->
+              A2.sent learns ~f ~z
+                ~m:(Lbc_flood.Flood.wire (Lbc_flood.Flood.paths store2) value path)
           | Silent (z, path) -> A2.silent_on learns ~f ~z ~path
         in
         answered q a;
@@ -452,9 +459,7 @@ let plain_scan ?scope ?(answered = fun _ _ -> ()) g ~f ~(t : A2.traced) v =
                           let prefix = List.rev before in
                           if
                             z <> v
-                            && ask
-                                 (Sent
-                                    (z, { Lbc_flood.Flood.value; path = prefix }))
+                            && ask (Sent (z, value, prefix))
                           then found z "tamper" tamper
                           else if z <> v && ask (Silent (z, prefix)) then
                             found z "omission" omission
@@ -553,7 +558,8 @@ let agrees_with_reference g ~f ~(t : A2.traced) =
           let answered q a =
             let want =
               match q with
-              | Sent (z, m) -> Attribution_reference.sent r ~f ~z ~m
+              | Sent (z, value, path) ->
+                  Attribution_reference.sent r ~f ~z ~value ~path
               | Silent (z, path) ->
                   Attribution_reference.silent_on r ~f ~z ~path
             in

@@ -12,7 +12,15 @@ module Nodeset = Lbc_graph.Nodeset
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let wire value path = { Flood.value; path }
+(* A wire as (value, path): wires hold their table, so tests compare
+   these views, never the wires. *)
+let view (m : int Flood.wire) = (m.Flood.value, Flood.wire_path m)
+
+(* Deliver (value, path) as a wire of the receiving store's own table,
+   the case every execution takes. *)
+let handle st ~round ~from value path =
+  Option.map view
+    (Flood.handle st ~round ~from (Flood.wire (Flood.paths st) value path))
 
 (* ------------------------------------------------------------------ *)
 (* handle: rules (i)-(iv)                                               *)
@@ -23,13 +31,13 @@ let test_rule_i_bad_path () =
   let st = Flood.create g ~me:0 ~vcompare:Int.compare () in
   (* 3 is not adjacent to 1, so path [3] relayed by 1 is invalid. *)
   check "invalid path dropped" true
-    (Flood.handle st ~round:2 ~from:1 (wire 7 [ 3 ]) = None);
+    (handle st ~round:2 ~from:1 7 [ 3 ] = None);
   (* Sender must be a neighbour: 2 is not adjacent to 0 in the 5-cycle. *)
   check "non-neighbour sender dropped" true
-    (Flood.handle st ~round:1 ~from:2 (wire 7 []) = None);
+    (handle st ~round:1 ~from:2 7 [] = None);
   (* Path containing duplicates is not simple. *)
   check "non-simple dropped" true
-    (Flood.handle st ~round:3 ~from:1 (wire 7 [ 1; 2 ]) = None)
+    (handle st ~round:3 ~from:1 7 [ 1; 2 ] = None)
 
 let test_rule_i_timing () =
   (* Synchronous timing: a k-hop annotation is only acceptable in round
@@ -37,38 +45,38 @@ let test_rule_i_timing () =
   let g = B.cycle 5 in
   let st = Flood.create g ~me:0 ~vcompare:Int.compare () in
   check "late initiation dropped" true
-    (Flood.handle st ~round:3 ~from:1 (wire 7 []) = None);
+    (handle st ~round:3 ~from:1 7 [] = None);
   check "early long path dropped" true
-    (Flood.handle st ~round:1 ~from:1 (wire 7 [ 2 ]) = None);
+    (handle st ~round:1 ~from:1 7 [ 2 ] = None);
   check "on-time accepted" true
-    (Flood.handle st ~round:2 ~from:1 (wire 7 [ 2 ]) <> None)
+    (handle st ~round:2 ~from:1 7 [ 2 ] <> None)
 
 let test_rule_ii_dedup () =
   let g = B.cycle 5 in
   let st = Flood.create g ~me:0 ~vcompare:Int.compare () in
-  (match Flood.handle st ~round:1 ~from:1 (wire 7 []) with
+  (match handle st ~round:1 ~from:1 7 [] with
   | Some fwd ->
       check "forwards with sender appended" true
-        (fwd = wire 7 [ 1 ])
+        (fwd = (7, [ 1 ]))
   | None -> Alcotest.fail "first message accepted");
   (* Same (sender, path) key again - even with a different value. *)
   check "duplicate key dropped" true
-    (Flood.handle st ~round:1 ~from:1 (wire 8 []) = None);
+    (handle st ~round:1 ~from:1 8 [] = None);
   (* Different path from the same sender is fine. *)
   check "different key ok" true
-    (Flood.handle st ~round:2 ~from:1 (wire 9 [ 2 ]) <> None)
+    (handle st ~round:2 ~from:1 9 [ 2 ] <> None)
 
 let test_rule_iii_self_in_path () =
   let g = B.cycle 5 in
   let st = Flood.create g ~me:0 ~vcompare:Int.compare () in
   check "own id in path dropped" true
-    (Flood.handle st ~round:5 ~from:4 (wire 7 [ 0; 1; 2; 3 ]) = None)
+    (handle st ~round:5 ~from:4 7 [ 0; 1; 2; 3 ] = None)
 
 let test_rule_iv_record () =
   let g = B.cycle 5 in
   let st = Flood.create g ~me:0 ~vcompare:Int.compare () in
-  let (_ : int Flood.wire option) =
-    Flood.handle st ~round:2 ~from:1 (wire 7 [ 2 ])
+  let (_ : (int * int list) option) =
+    handle st ~round:2 ~from:1 7 [ 2 ]
   in
   check "recorded along full path" true
     (Flood.value_along st ~path:[ 2; 1; 0 ] = Some 7);
@@ -84,10 +92,10 @@ let test_synthesize_defaults () =
   let g = B.cycle 5 in
   let st = Flood.create g ~me:0 ~vcompare:Int.compare ~default:99 () in
   (* Neighbour 1 initiated; neighbour 4 stayed silent. *)
-  let (_ : int Flood.wire option) = Flood.handle st ~round:1 ~from:1 (wire 7 []) in
+  let (_ : (int * int list) option) = handle st ~round:1 ~from:1 7 [] in
   let fwds = Flood.synthesize_defaults st in
   check_int "one default" 1 (List.length fwds);
-  check "default forwarded for 4" true (List.hd fwds = wire 99 [ 4 ]);
+  check "default forwarded for 4" true (view (List.hd fwds) = (99, [ 4 ]));
   check "default recorded" true (Flood.value_along st ~path:[ 4; 0 ] = Some 99);
   (* Idempotent. *)
   check "second call empty" true (Flood.synthesize_defaults st = []);
@@ -96,12 +104,12 @@ let test_synthesize_defaults () =
      table and must not burn the rule-(ii) key [(4, ⊥)] — and it
      supersedes the synthesized record. *)
   check "late initiation accepted" true
-    (Flood.handle st ~round:1 ~from:4 (wire 7 []) = Some (wire 7 [ 4 ]));
+    (handle st ~round:1 ~from:4 7 [] = Some (7, [ 4 ]));
   check "genuine value supersedes default" true
     (Flood.value_along st ~path:[ 4; 0 ] = Some 7);
   (* Rule (ii) still applies to the genuine message itself. *)
   check "second delivery deduped" true
-    (Flood.handle st ~round:1 ~from:4 (wire 7 []) = None)
+    (handle st ~round:1 ~from:4 7 [] = None)
 
 (* Regression for the bootstrap-aliasing bug: synthesized defaults used
    to be inserted into the rule-(ii) dedup table under the same key
@@ -117,7 +125,7 @@ let test_bootstrap_not_masking () =
   check "default for 1" true (Flood.value_along st ~path:[ 1; 0 ] = Some 99);
   (* Crafted message: 1's real initiation arrives only after synthesis. *)
   check "crafted round-1 message not masked" true
-    (Flood.handle st ~round:1 ~from:1 (wire 123 []) = Some (wire 123 [ 1 ]));
+    (handle st ~round:1 ~from:1 123 [] = Some (123, [ 1 ]));
   check "record overwritten" true
     (Flood.value_along st ~path:[ 1; 0 ] = Some 123);
   check "origin values collapse to the genuine one" true
@@ -384,6 +392,8 @@ let test_fabricated_paths_not_counted () =
      record physically passes through it, the packing count stays 1. *)
   let g = B.complete 5 in
   let topo = Engine.topology_of_graph g in
+  let own = Lbc_flood.Path_intern.create g in
+  let wire value path = Flood.wire own value path in
   let liar : int Flood.wire Engine.fstep =
    fun ~round ~inbox:_ ->
     if round = 1 then

@@ -6,10 +6,17 @@
    broadcast-bound strategy) and chaos-perturbed delivery, not just
    clean floods — and must produce identical forwards each round and
    identical query results afterwards, whether each interned store has
-   its own path intern table or all share one. A second property feeds
-   single messages, each delivered twice, to stores sharing one table,
-   so every rule-(ii) dedup decision is compared one by one. Also checks
-   the packing certificate cache against fresh counts. *)
+   its own path intern table or all share one. A second property mixes
+   the two within one run and adds fabricated wires of several tables,
+   so a receiver meets wires of its own table and of others in one
+   inbox. A third feeds single messages, each delivered twice, to stores
+   sharing one table, so every rule-(ii) dedup decision is compared one
+   by one. Also checks the packing certificate cache against fresh
+   counts.
+
+   A production wire carries its path as an id of its sender's table;
+   the reference gets it as the (value, path) pair that id stands for,
+   and forwards are compared in that form. *)
 
 module Flood = Lbc_flood.Flood
 module Packing = Lbc_flood.Packing
@@ -21,6 +28,11 @@ module Nodeset = Lbc_graph.Nodeset
 module Engine = Lbc_sim.Engine
 module P = Lbc_sim.Perturb
 module Obs = Lbc_obs.Obs
+module PI = Lbc_flood.Path_intern
+
+let view (m : 'v Flood.wire) = (m.Flood.value, Flood.wire_path m)
+let ref_view (m : 'v Ref.wire) = (m.Ref.value, m.Ref.path)
+let to_ref (m : 'v Flood.wire) = { Ref.value = m.Flood.value; path = Flood.wire_path m }
 
 (* One honest node driving both implementations on the same inbox.
    [paths], when given, is a path intern table shared by all the honest
@@ -34,8 +46,10 @@ let mirrored g ?paths ~me ~initiate ~default () : ('a, 'b) Engine.proc =
   let q = Ref.proc rf in
   let step ~round ~inbox =
     let out = p.Engine.step ~round ~inbox in
-    let out' = q.Engine.step ~round ~inbox in
-    if out <> out' then
+    let out' =
+      q.Engine.step ~round ~inbox:(List.map (fun (u, m) -> (u, to_ref m)) inbox)
+    in
+    if List.map view out <> List.map ref_view out' then
       QCheck.Test.fail_reportf "node %d round %d: forwards diverge" me round;
     out
   in
@@ -147,6 +161,69 @@ let equivalence =
         [ None; Some (Lbc_flood.Path_intern.create g) ];
       true)
 
+(* Wires across tables. Honest node v keys on the run's shared table
+   when bit (v mod 3) of [mix] is set and on a private one otherwise, so
+   its inbox holds wires of its own table and of others. The faulty node
+   transmits fabrications every round: random walks and random node
+   lists (nodes up to n + 1, so some are out of range; repeats and
+   non-edges), mostly at the wrong length for the round, each a wire of
+   the shared table, of the faulty node's private table, or of a table
+   over a larger complete graph in which n and n + 1 are nodes. Every
+   round's forwards and every query afterwards must equal the list-keyed
+   reference's: a receiver that read a foreign wire's id as one of its
+   own would misplace or reject it. *)
+let wires_across_tables =
+  QCheck.Test.make ~name:"wires across tables = reference" ~count:100
+    QCheck.(triple (int_range 4 8) (int_bound 1000) (int_bound 7))
+    (fun (n, seed, mix) ->
+      (* shrinking may leave the generator's ranges *)
+      n < 4 || n > 8 || seed < 0 || mix < 0
+      ||
+      let g = B.random_augmented_circulant ~seed ~n ~k:2 ~extra:0.3 in
+      let shared = PI.create g in
+      let own = PI.create g in
+      let alien = PI.create (B.complete (n + 2)) in
+      let faulty = seed mod n in
+      let st = Random.State.make [| seed; mix |] in
+      let pick l = List.nth l (Random.State.int st (List.length l)) in
+      let fabricate () =
+        let len = Random.State.int st (n + 1) in
+        let path =
+          if Random.State.bool st then
+            let rec walk u k acc =
+              if k = 0 then List.rev acc
+              else walk (pick (G.neighbor_list g u)) (k - 1) (u :: acc)
+            in
+            walk (Random.State.int st n) len []
+          else List.init len (fun _ -> Random.State.int st (n + 2))
+        in
+        Flood.wire (pick [ shared; own; alien ]) (Random.State.int st 4) path
+      in
+      let fabricator ~round:_ ~inbox:_ =
+        List.init 3 (fun _ -> Engine.Broadcast (fabricate ()))
+      in
+      let roles =
+        Array.init n (fun v ->
+            if v = faulty then Engine.Faulty fabricator
+            else
+              let paths =
+                if (mix lsr (v mod 3)) land 1 = 1 then shared else PI.create g
+              in
+              Engine.Honest
+                (mirrored g ~paths ~me:v ~initiate:(100 + v) ~default:(-1) ()))
+      in
+      let r =
+        Engine.run (Engine.topology_of_graph g) ~model:Engine.Local_broadcast
+          ~rounds:(Flood.rounds_needed g + 2) ~roles
+      in
+      Array.iteri
+        (fun v out ->
+          match out with
+          | Some pair when v <> faulty -> compare_stores g ~f:1 pair
+          | _ -> ())
+        r.Engine.outputs;
+      true)
+
 (* Rule (ii) on a shared intern table: the dedup key is a trie id that
    every store of the table shares, but each store must remember only
    what it received itself. Messages are random walks w0..wk: the wire
@@ -176,7 +253,10 @@ let handle_shared =
       in
       let deliver v ~round ~from m =
         let st, rf = stores.(v) in
-        if Flood.handle st ~round ~from m <> Ref.handle rf ~round ~from m then
+        if
+          Option.map view (Flood.handle st ~round ~from m)
+          <> Option.map ref_view (Ref.handle rf ~round ~from (to_ref m))
+        then
           QCheck.Test.fail_reportf "node %d: handle diverges from %d" v from
       in
       List.iteri
@@ -188,7 +268,7 @@ let handle_shared =
             else go (u :: acc) (pick (G.neighbor_list g u)) (k - 1)
           in
           let path, from = go [] (w0 mod n) k in
-          let m = { Flood.value = i; path } in
+          let m = Flood.wire paths i path in
           let round = List.length path + 1 + if jitter > 2 then 0 else jitter in
           let v = pick (G.neighbor_list g from) in
           let v = if jitter = -1 then (v + 1) mod n else v in
@@ -198,7 +278,10 @@ let handle_shared =
         msgs;
       Array.iter
         (fun (st, rf) ->
-          if Flood.synthesize_defaults st <> Ref.synthesize_defaults rf then
+          if
+            List.map view (Flood.synthesize_defaults st)
+            <> List.map ref_view (Ref.synthesize_defaults rf)
+          then
             QCheck.Test.fail_reportf "node %d: defaults diverge" (Flood.me st);
           if Flood.records st <> Ref.records rf then
             QCheck.Test.fail_reportf "node %d: records diverge" (Flood.me st))
@@ -247,6 +330,7 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest equivalence;
+          QCheck_alcotest.to_alcotest wires_across_tables;
           QCheck_alcotest.to_alcotest handle_shared;
           QCheck_alcotest.to_alcotest cache_matches_fresh;
         ] );

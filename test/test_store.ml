@@ -1,7 +1,12 @@
 (* Tests for lib/store: the content-addressed byte store under the
    campaign result cache and the deep lint's summary cache. Its reader
    must turn any on-disk bytes other than what it wrote into a miss,
-   and a leftover temp file must never block a later write. *)
+   and a leftover temp file must never block a later write.
+
+   Beside it, the other readers of on-disk or command-line text: JSON,
+   campaign artifacts, lint baselines, chaos specs and strategy
+   spellings. Whatever bytes they are handed, they return a value or
+   their documented [Error], never another exception. *)
 
 module Store = Lbc_store.Store
 
@@ -160,6 +165,132 @@ let prop_mutation_is_miss_or_original dir =
       let want = if String.equal mutated original then Some payload else None in
       Store.find t ~key = want)
 
+(* ------------------------------------------------------------------ *)
+(* Readers never crash                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Random edits of a valid text. Inserted bytes lean towards the
+   grammars' own punctuation, so edits reach past the first token. *)
+type edit =
+  | Flip_byte of int * int
+  | Cut of int * int
+  | Insert of int * string
+  | Repeat of int * int
+
+let gen_edits =
+  let open QCheck.Gen in
+  let syntax =
+    oneof
+      [
+        printable;
+        oneofl
+          [ '"'; '{'; '}'; '['; ']'; ','; ':'; '='; '-'; '.'; '\\'; 'e'; '0';
+            '9'; ' '; '\n'; '\000'; '\255' ];
+      ]
+  in
+  list_size (int_range 1 4)
+    (oneof
+       [
+         map2 (fun p x -> Flip_byte (p, x)) nat (int_range 1 255);
+         map2 (fun p k -> Cut (p, k)) nat (int_range 1 12);
+         map2 (fun p t -> Insert (p, t)) nat (string_size ~gen:syntax (int_range 1 8));
+         map2 (fun p k -> Repeat (p, k)) nat (int_range 1 24);
+       ])
+
+let print_edits edits =
+  String.concat "; "
+    (List.map
+       (function
+         | Flip_byte (p, x) -> Printf.sprintf "flip %d lxor %d" p x
+         | Cut (p, k) -> Printf.sprintf "cut %d+%d" p k
+         | Insert (p, t) -> Printf.sprintf "insert %d %S" p t
+         | Repeat (p, k) -> Printf.sprintf "repeat %d+%d" p k)
+       edits)
+
+let apply_edit s e =
+  let len = String.length s in
+  let at p = p mod (len + 1) in
+  let span p k = min k (len - at p) in
+  match e with
+  | Flip_byte (p, x) ->
+      if len = 0 then s
+      else begin
+        let b = Bytes.of_string s in
+        let p = p mod len in
+        Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor x));
+        Bytes.to_string b
+      end
+  | Cut (p, k) ->
+      let p = at p in
+      String.sub s 0 p ^ String.sub s (p + span p k) (len - p - span p k)
+  | Insert (p, t) ->
+      let p = at p in
+      String.sub s 0 p ^ t ^ String.sub s p (len - p)
+  | Repeat (p, k) ->
+      let p = at p in
+      String.sub s 0 (p + span p k) ^ String.sub s p (len - p)
+
+(* [read] over random edits of one of [bases]: any result is fine, an
+   exception is not. *)
+let never_raises name ~count bases read =
+  let bases = Array.of_list bases in
+  QCheck.Test.make ~name ~count
+    (QCheck.make
+       ~print:(fun (i, edits) -> Printf.sprintf "base %d: %s" i (print_edits edits))
+       QCheck.Gen.(pair (int_bound (Array.length bases - 1)) gen_edits))
+    (fun (i, edits) ->
+      let s = List.fold_left apply_edit bases.(i mod Array.length bases) edits in
+      match read s with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%S raised %s" s (Printexc.to_string e))
+
+module C = Lbc_campaign
+
+(* The CI smoke campaign's artifact, in both renderings. *)
+let smoke_artifacts () =
+  match C.Grids.by_name "smoke" with
+  | None -> Alcotest.fail "no smoke grid"
+  | Some grid ->
+      let a = C.Runner.run_exn grid in
+      [ C.Artifact.to_string a; C.Artifact.deterministic_string a ]
+
+let baselines =
+  [
+    "# lbclint baseline: grandfathered findings, one 'RULE FILE COUNT' per \
+     line.\n\
+     D2 lib/campaign/runner.ml 2\n\
+     E3 lib/campaign/pool.ml 1\n\
+     X1 lib/core/bit.mli 12\n";
+    "";
+  ]
+
+let chaos_specs =
+  [
+    "drop=0.1,dup=0.2,delay=2,delay-p=0.5,crash=0.05,crash-len=3";
+    "delay=1";
+    "none";
+  ]
+
+let strategy_specs =
+  List.map Lbc_adversary.Strategy.to_string Lbc_adversary.Strategy.kinds_hybrid
+  @ [ "omit:1,2,3"; "flip-from:0,4"; "crash:12"; "noise:0" ]
+
+let reader_props () =
+  let artifacts = smoke_artifacts () in
+  [
+    never_raises "Jsonio.of_string never raises" ~count:300 artifacts
+      C.Jsonio.of_string;
+    never_raises "Artifact.of_string never raises" ~count:300 artifacts
+      C.Artifact.of_string;
+    never_raises "Baseline.of_string never raises" ~count:500 baselines
+      Lbc_lint.Baseline.of_string;
+    never_raises "Perturb.parse never raises" ~count:1000 chaos_specs
+      Lbc_sim.Perturb.parse;
+    never_raises "Strategy.of_string never raises" ~count:1000 strategy_specs
+      Lbc_adversary.Strategy.of_string;
+  ]
+
 let () =
   let dir = temp_dir () in
   at_exit (fun () -> rm_rf dir);
@@ -179,4 +310,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fnv1a_masking; prop_mutation_is_miss_or_original dir ] );
+      ("readers", List.map QCheck_alcotest.to_alcotest (reader_props ()));
     ]
