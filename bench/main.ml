@@ -636,25 +636,32 @@ let e11 () =
 
 (* E13: randomised falsification — the campaigns that caught the three
    implementation-level soundness bugs during development (see DESIGN.md)
-   must stay clean. *)
+   must stay clean. Each is a seeded grid (Grids.fuzz) run by the
+   campaign runner, so a violation prints its [lbcast run] repro line. *)
 let e13 () =
   header "E13" "Fuzz campaigns: randomised adversaries on feasible graphs";
-  let module Fuzz = Lbc_consensus.Fuzz in
-  let runs_scale = if quick then 30 else 300 in
   Printf.printf "  %-28s %8s %12s\n" "campaign" "runs" "violations";
   List.iter
-    (fun (name, g, f, target, factor) ->
-      let runs = runs_scale / factor in
-      let r = Fuzz.run ~g ~f ~target ~runs () in
-      Printf.printf "  %-28s %8d %12d\n" name r.Fuzz.runs
-        (List.length r.Fuzz.violations))
-    [
-      ("A2 / cycle5 f=1", B.fig1a (), 1, Fuzz.A2, 1);
-      ("A2 / fig1b f=2", B.fig1b (), 2, Fuzz.A2, 2);
-      ("A1 / cycle5 f=1", B.fig1a (), 1, Fuzz.A1, 2);
-      ("A3 / K4 f=t=1", B.complete 4, 1, Fuzz.A3 1, 2);
-      ("relay / wheel7 f=1", B.wheel 7, 1, Fuzz.Relay, 3);
-    ];
+    (fun (name, grid) ->
+      let a =
+        Campaign.Runner.run_exn
+          ~config:{ Campaign.Runner.default with domains }
+          grid
+      in
+      let bad =
+        List.filter
+          (fun (v : Campaign.Scenario.verdict) -> not v.Campaign.Scenario.ok)
+          (Array.to_list a.Campaign.Artifact.verdicts)
+      in
+      Printf.printf "  %-28s %8d %12d\n" name
+        (Array.length a.Campaign.Artifact.verdicts)
+        (List.length bad);
+      List.iter
+        (fun v ->
+          Printf.printf "    %s\n"
+            (Format.asprintf "%a" Campaign.Scenario.pp_verdict v))
+        bad)
+    (Campaign.Grids.e13 ~quick ());
   Printf.printf
     "\n  every violation would print a reproduction seed; none should \
      appear on\n  condition-satisfying graphs.\n"

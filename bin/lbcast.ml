@@ -55,7 +55,10 @@ let conv parse pp =
   Cmdliner.Arg.conv
     ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), pp)
 
-let strategy_conv = conv S.of_string S.pp_kind
+(* The printer only renders the (uniform) default in --help. *)
+let strategy_conv =
+  conv Scenario.strategy_of_string (fun fmt (k, _) -> S.pp_kind fmt k)
+
 let nodeset_conv = conv Nodeset.of_csv Nodeset.pp
 
 let inputs_conv =
@@ -123,7 +126,7 @@ let do_gen g dot =
 type execution = {
   inputs : Bit.t array option;
   faulty : Nodeset.t;
-  strategy : S.kind;
+  strategy : S.kind * (int * S.kind) list;  (** [-s], uniform or per node *)
   seed : int;
 }
 
@@ -157,10 +160,11 @@ let do_run spec algo f t x equivocators chaos net max_rounds stats trace =
   let g = graph_of_spec spec in
   let inputs = inputs_for g x in
   let algo, selected = resolve_algo g ~f ~t algo in
+  let strategy, per_node = x.strategy in
   let scenario =
     Scenario.make ~gname:spec
       ~build:(fun () -> g)
-      ~algo ~f ~faulty:x.faulty ~equivocators ~strategy:x.strategy ~inputs
+      ~algo ~f ~faulty:x.faulty ~equivocators ~strategy ~per_node ~inputs
       ?chaos ?net ()
   in
   let execute () = Scenario.run ?max_rounds scenario ~seed:x.seed in
@@ -199,7 +203,7 @@ let do_run spec algo f t x equivocators chaos net max_rounds stats trace =
   | _ -> ());
   Printf.printf "inputs   : %s\n" (Bit.array_to_string inputs);
   Printf.printf "faulty   : %s (strategy %s)\n" (Nodeset.to_string x.faulty)
-    (Format.asprintf "%a" S.pp_kind x.strategy);
+    (Scenario.strategy_label scenario);
   Array.iteri
     (fun v out ->
       match out with
@@ -348,27 +352,27 @@ let do_predict g f =
 let do_forensics spec f x =
   let g = graph_of_spec spec in
   let inputs = inputs_for g x in
+  let strategy, per_node = x.strategy in
+  let scenario =
+    Scenario.make ~gname:spec
+      ~build:(fun () -> g)
+      ~algo:Scenario.A2 ~f ~faulty:x.faulty ~strategy ~per_node ~inputs ()
+  in
   (* The node-id checks [run] makes, so a bad --faulty is a usage error
      here too. *)
-  (try
-     Scenario.validate
-       (Scenario.make ~gname:spec
-          ~build:(fun () -> g)
-          ~algo:Scenario.A2 ~f ~faulty:x.faulty ~strategy:x.strategy ~inputs
-          ())
-       g
+  (try Scenario.validate scenario g
    with Invalid_argument msg ->
      Printf.eprintf "%s\n" msg;
      exit 2);
   let o, reports =
     A2.run_detailed ~g ~f ~inputs ~faulty:x.faulty
-      ~strategy:(fun _ -> x.strategy)
+      ~strategy:(Scenario.node_strategy scenario)
       ~seed:x.seed ()
   in
   Printf.printf
     "Algorithm 2 fault forensics (f=%d, faulty=%s, strategy %s):\n" f
     (Nodeset.to_string x.faulty)
-    (Format.asprintf "%a" S.pp_kind x.strategy);
+    (Scenario.strategy_label scenario);
   Array.iteri
     (fun v rep ->
       match rep with
@@ -387,21 +391,39 @@ let do_forensics spec f x =
 (* fuzz                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let do_fuzz g algo f t runs seed =
-  let module Fuzz = Lbc_consensus.Fuzz in
-  let target =
+let do_fuzz spec algo f t runs seed =
+  ignore (graph_of_spec spec);
+  if runs < 0 then begin
+    Printf.eprintf "lbcast: option '--runs': %d is negative\n" runs;
+    exit 2
+  end;
+  let algo, label =
     match algo with
-    | "a1" -> Fuzz.A1
-    | "a2" -> Fuzz.A2
-    | "a3" -> Fuzz.A3 t
-    | "relay" -> Fuzz.Relay
+    | "a1" -> (Scenario.A1, "algorithm1")
+    | "a2" -> (Scenario.A2, "algorithm2")
+    | "a3" -> (Scenario.A3 t, Printf.sprintf "algorithm3(t=%d)" t)
+    | "relay" -> (Scenario.Relay, "relay-eig")
     | other ->
         Printf.eprintf "unknown fuzz target %s (a1, a2, a3, relay)\n" other;
         exit 2
   in
-  let r = Fuzz.run ~g ~f ~target ~runs ~seed () in
-  Printf.printf "%s\n" (Format.asprintf "%a" Fuzz.pp_report r);
-  if r.Fuzz.violations = [] then 0 else 1
+  let a =
+    Campaign.Runner.run_exn
+      ~config:{ Campaign.Runner.default with base_seed = seed }
+      (Campaign.Grids.fuzz ~gname:spec ~f ~algo ~runs ~seed ())
+  in
+  let bad =
+    List.filter
+      (fun (v : Scenario.verdict) -> not v.Scenario.ok)
+      (Array.to_list a.Campaign.Artifact.verdicts)
+  in
+  Printf.printf "fuzz %s: %d runs, %d violations\n" label runs
+    (List.length bad);
+  List.iter
+    (fun v ->
+      Printf.printf "  %s\n" (Format.asprintf "%a" Scenario.pp_verdict v))
+    bad;
+  if bad = [] then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* campaign / report                                                    *)
@@ -693,6 +715,15 @@ let do_sweep fmax =
 
 open Cmdliner
 
+(* Every rejected command line exits 2 (see the evaluation at the end),
+   so the man pages list 2 in place of cmdliner's 123 and 124. *)
+let exits =
+  Cmd.Exit.info 2
+    ~doc:"a usage error: an unknown option, or a bad or out-of-range value."
+  :: List.filter
+       (fun i -> not (List.mem (Cmd.Exit.info_code i) [ 123; 124 ]))
+       Cmd.Exit.defaults
+
 let graph_spec_arg =
   Arg.(
     required
@@ -712,7 +743,7 @@ let t_arg =
 let check_cmd =
   let doc = "Evaluate the feasibility conditions of all three models." in
   Cmd.v
-    (Cmd.info "check" ~doc)
+    (Cmd.info "check" ~exits ~doc)
     Term.(const do_check $ graph_arg $ f_arg $ t_arg)
 
 let gen_cmd =
@@ -720,7 +751,7 @@ let gen_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of an edge list.")
   in
   Cmd.v
-    (Cmd.info "gen" ~doc:"Emit a built-in graph.")
+    (Cmd.info "gen" ~exits ~doc:"Emit a built-in graph.")
     Term.(const do_gen $ graph_arg $ dot)
 
 let execution_term =
@@ -740,8 +771,12 @@ let execution_term =
   let strategy =
     Arg.(
       value
-      & opt strategy_conv S.Flip_forwards
-      & info [ "strategy"; "s" ] ~docv:"STRAT" ~doc:"Adversarial strategy.")
+      & opt strategy_conv (S.Flip_forwards, [])
+      & info [ "strategy"; "s" ] ~docv:"STRAT"
+          ~doc:
+            "Adversarial strategy of every faulty node, or one per faulty \
+             node as NODE=STRAT items joined by '/' (e.g. \
+             1=noise:2/3=omit:1,4).")
   in
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
@@ -828,17 +863,13 @@ let run_cmd =
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"the run did not reach consensus."
-    :: Cmd.Exit.info 2
-         ~doc:
-           "a usage error: a bad graph spec, algorithm, input length or \
-            node id."
     :: Cmd.Exit.info 3 ~doc:"$(b,--algo auto) on an infeasible graph."
     :: Cmd.Exit.info 4 ~doc:"the $(b,--max-rounds) budget ran out."
     :: Cmd.Exit.info 5
          ~doc:
            "the execution crashed (e.g. a model violation): $(i,crashed: \
             EXN) on stderr, as a campaign records a crashed verdict."
-    :: Cmd.Exit.defaults
+    :: exits
   in
   Cmd.v
     (Cmd.info "run" ~exits
@@ -859,13 +890,13 @@ let attack_cmd =
              otherwise Algorithm 1.")
   in
   Cmd.v
-    (Cmd.info "attack"
+    (Cmd.info "attack" ~exits
        ~doc:"Execute a necessity gadget on a condition-violating graph.")
     Term.(const do_attack $ graph_arg $ lemma $ f_arg $ t_arg)
 
 let predict_cmd =
   Cmd.v
-    (Cmd.info "predict"
+    (Cmd.info "predict" ~exits
        ~doc:
          "Predict algorithm choice, round counts and message complexity \
           for a graph and fault budget.")
@@ -873,7 +904,7 @@ let predict_cmd =
 
 let forensics_cmd =
   Cmd.v
-    (Cmd.info "forensics"
+    (Cmd.info "forensics" ~exits
        ~doc:
          "Run Algorithm 2 and show, per node, its type (A/B) and the \
           faulty nodes it identified.")
@@ -893,19 +924,19 @@ let fuzz_cmd =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Base seed.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits
        ~doc:
          "Randomised falsification campaign: random inputs, fault \
           placements and strategies; exits non-zero on any \
           agreement/validity violation.")
-    Term.(const do_fuzz $ graph_arg $ algo $ f_arg $ t_arg $ runs $ seed)
+    Term.(const do_fuzz $ graph_spec_arg $ algo $ f_arg $ t_arg $ runs $ seed)
 
 let sweep_cmd =
   let fmax =
     Arg.(value & opt int 6 & info [ "fmax" ] ~docv:"N" ~doc:"Largest f.")
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc:"Print the hybrid equivocation trade-off table.")
+    (Cmd.info "sweep" ~exits ~doc:"Print the hybrid equivocation trade-off table.")
     Term.(const do_sweep $ fmax)
 
 let campaign_cmd =
@@ -1030,7 +1061,7 @@ let campaign_cmd =
              reproduce the uninterrupted artifact byte-for-byte.")
   in
   Cmd.v
-    (Cmd.info "campaign"
+    (Cmd.info "campaign" ~exits
        ~doc:
          "Run an experiment campaign (a deterministic scenario grid) on a \
           work-stealing OCaml 5 domain pool, streaming every verdict to a \
@@ -1066,7 +1097,7 @@ let report_cmd =
              artifact's deterministic stats section.")
   in
   Cmd.v
-    (Cmd.info "report"
+    (Cmd.info "report" ~exits
        ~doc:
          "Parse a campaign artifact, print its summary and any violations; \
           exits non-zero when the artifact fails to parse or records \
@@ -1075,10 +1106,19 @@ let report_cmd =
 
 let () =
   let doc = "Byzantine consensus under the local broadcast model (PODC'19)." in
+  let cmd =
+    Cmd.group
+      (Cmd.info "lbcast" ~exits ~version:"1.0.0" ~doc)
+      [
+        check_cmd; gen_cmd; run_cmd; attack_cmd; forensics_cmd; predict_cmd;
+        fuzz_cmd; sweep_cmd; campaign_cmd; report_cmd;
+      ]
+  in
+  (* Cmdliner has already printed the error: a rejected command line is a
+     usage error like a bad -g spec, exit 2. *)
   exit
-    (Cmd.eval'
-       (Cmd.group (Cmd.info "lbcast" ~version:"1.0.0" ~doc)
-          [
-            check_cmd; gen_cmd; run_cmd; attack_cmd; forensics_cmd;
-            predict_cmd; fuzz_cmd; sweep_cmd; campaign_cmd; report_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -34,6 +34,13 @@
 #     lemma's condition the attack must force disagreement (exit 0); on
 #     one that meets it, a usage error (exit 2) naming the condition;
 #   - `forensics` with a faulty id outside the graph must exit 2;
+#   - usage errors: a bad -s (a negative count, a malformed or
+#     repeated per-node item, nodes other than the faulty ones),
+#     --faulty, --inputs, --chaos, --net or -g value, and an unknown
+#     flag, must each exit 2;
+#   - `fuzz` past the 6-cycle's condition (f = 2) must exit 1, and the
+#     first repro line it prints, run as printed, must exit 1 with
+#     agreement or validity false;
 #   - an E15 smoke grid under the wan network profile with drop chaos:
 #     the lbc-campaign/5 artifact must carry a simulated-time section
 #     and fingerprint identically on 1 and 4 domains;
@@ -307,6 +314,57 @@ set -e
 [ "$forensics_rc" -eq 2 ] && grep -q 'not in the 5-node graph' "$tmp/forensics.err" \
   || { echo "FAIL: forensics --faulty 9 exited $forensics_rc, want 2";
        cat "$tmp/forensics.err"; exit 1; }
+
+echo "== usage errors exit 2 =="
+# Every rejected command line is a usage error, whichever option carries
+# the bad value: one case per option, plus an unknown flag.
+usage_case() {
+  set +e
+  dune exec bin/lbcast.exe -- run "$@" > /dev/null 2> "$tmp/usage.err"
+  usage_rc=$?
+  set -e
+  [ "$usage_rc" -eq 2 ] \
+    || { echo "FAIL: run $* exited $usage_rc, want 2";
+         cat "$tmp/usage.err"; exit 1; }
+  echo "run $*: exit 2"
+}
+usage_case -g cycle:5 -f 1 --faulty 0 -s noise:-1
+usage_case -g cycle:5 -f 1 --faulty 1,3 -s 1=lie/3
+usage_case -g cycle:5 -f 1 --faulty 1,3 -s 1=lie/1=silent
+usage_case -g cycle:5 -f 1 --faulty 1,3 -s 1=lie/4=silent
+usage_case -g cycle:5 -f 1 --faulty x
+usage_case -g cycle:5 -f 1 --inputs 10a01
+usage_case -g cycle:5 -f 1 --chaos drop=2
+usage_case -g cycle:5 -f 1 --net bogus
+usage_case -g cycle:5 -f 1 --bogus
+usage_case -g bogus:5 -f 1
+
+echo "== fuzz: a violation past the condition replays =="
+# f = 2 is past the 6-cycle's condition, so the fuzz
+# grid finds violations (exit 1); the first printed repro line, run as
+# printed, must replay one.
+set +e
+dune exec bin/lbcast.exe -- fuzz -g cycle:6 --algo a2 -f 2 --runs 30 \
+  > "$tmp/fuzz.txt" 2>&1
+fuzz_rc=$?
+set -e
+[ "$fuzz_rc" -eq 1 ] \
+  || { echo "FAIL: fuzz past the condition exited $fuzz_rc, want 1";
+       cat "$tmp/fuzz.txt"; exit 1; }
+head -1 "$tmp/fuzz.txt"
+fuzz_repro=$(sed -n 's/.* reproduce: lbcast //p' "$tmp/fuzz.txt" | head -1)
+[ -n "$fuzz_repro" ] \
+  || { echo "FAIL: fuzz printed no repro line"; cat "$tmp/fuzz.txt"; exit 1; }
+set +e
+# shellcheck disable=SC2086 # the repro line is split into its words
+dune exec bin/lbcast.exe -- $fuzz_repro > "$tmp/fuzz_repro.txt" 2>&1
+fuzz_repro_rc=$?
+set -e
+[ "$fuzz_repro_rc" -eq 1 ] \
+  && grep -q '^agreement: false\|^validity : false' "$tmp/fuzz_repro.txt" \
+  || { echo "FAIL: lbcast $fuzz_repro exited $fuzz_repro_rc, want 1 with a violation";
+       cat "$tmp/fuzz_repro.txt"; exit 1; }
+echo "fuzz repro OK: lbcast $fuzz_repro exits 1"
 
 echo "== chaos-smoke campaign: crashes and timeouts are contained =="
 # This grid deliberately contains a Model_violation scenario and a

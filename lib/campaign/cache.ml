@@ -25,14 +25,15 @@ let stores = Store.stores
 let key ~id ~base_seed ~budget =
   Printf.sprintf "lbc-cache/2|%s|seed=%d|budget=%d" id base_seed budget
 
-let entry_json e =
-  Jsonio.Obj
-    [
-      ("algo", Jsonio.Str e.algo);
-      ( "counters",
-        Jsonio.Obj (List.map (fun (k, v) -> (k, Jsonio.Int v)) e.counters) );
-      ("verdict", Scenario.verdict_to_json e.verdict);
-    ]
+(* The one on-disk codec of an entry's fields, in this order; a journal
+   record is the same fields behind its index and wall time. *)
+let entry_fields e =
+  [
+    ("algo", Jsonio.Str e.algo);
+    ( "counters",
+      Jsonio.Obj (List.map (fun (k, v) -> (k, Jsonio.Int v)) e.counters) );
+    ("verdict", Scenario.verdict_to_json e.verdict);
+  ]
 
 let entry_of_json j =
   match
@@ -56,4 +57,5 @@ let find t ~key =
   Option.bind (Store.find t ~key) (fun s ->
       Option.bind (Result.to_option (Jsonio.of_string s)) entry_of_json)
 
-let store t ~key e = Store.store t ~key (Jsonio.to_string (entry_json e))
+let store t ~key e =
+  Store.store t ~key (Jsonio.to_string (Jsonio.Obj (entry_fields e)))

@@ -24,6 +24,15 @@ type entry = {
           current grid's index on a hit *)
 }
 
+val entry_fields : entry -> (string * Jsonio.t) list
+(** The JSON fields of an entry, [algo], [counters] and [verdict] in that
+    order: a stored entry is their object, and a {!Journal.record} puts
+    its index and wall time in front of them. *)
+
+val entry_of_json : Jsonio.t -> entry option
+(** Read the three {!entry_fields} members of an object (other members
+    are ignored); [None] when one is missing or malformed. *)
+
 type t
 
 val create : dir:string -> t

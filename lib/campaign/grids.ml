@@ -189,6 +189,84 @@ let e15 ?(quick = false) () =
     ~strategies:[ S.Flip_forwards ]
     ~inputs:Grid.unanimous_inputs ()
 
+(* Randomised falsification: case [k] draws, from its own
+   [Random.State], the inputs, a fault-set size and subset, one kind per
+   faulty node in [Nodeset.fold] order (Flip_from/Omit_from victims
+   re-drawn) and, for A3, the equivocators among the faulty (at most
+   [t], running Equivocate). *)
+let draw_kind st n =
+  match Random.State.int st 10 with
+  | 0 -> S.Honest_behavior
+  | 1 -> S.Silent
+  | 2 -> S.Crash_at (1 + Random.State.int st 3)
+  | 3 -> S.Lie
+  | 4 -> S.Flip_forwards
+  | 5 ->
+      S.Flip_from
+        (Nodeset.of_list [ Random.State.int st n; Random.State.int st n ])
+  | 6 ->
+      S.Omit_from
+        (Nodeset.of_list [ Random.State.int st n; Random.State.int st n ])
+  | 7 -> S.Omit_sampled (Random.State.int st 100)
+  | 8 -> S.Spurious (1 + Random.State.int st 2)
+  | _ -> S.Noise (1 + Random.State.int st 2)
+
+let rec draw_subset st ~n ~size acc =
+  if Nodeset.cardinal acc >= size then acc
+  else draw_subset st ~n ~size (Nodeset.add (Random.State.int st n) acc)
+
+let fuzz ~gname ~f ~algo ~runs ~seed ?(max_faults = f) () =
+  let build () =
+    match B.of_spec gname with
+    | Ok g -> g
+    | Error msg -> invalid_arg ("Grids.fuzz: " ^ msg)
+  in
+  let n = G.size (build ()) in
+  let case k =
+    let st = Random.State.make [| 0xFACE; seed + k |] in
+    let inputs = Array.init n (fun _ -> Bit.of_bool (Random.State.bool st)) in
+    let faulty =
+      draw_subset st ~n ~size:(Random.State.int st (max_faults + 1))
+        Nodeset.empty
+    in
+    let kinds =
+      Nodeset.fold (fun v acc -> (v, draw_kind st n) :: acc) faulty []
+    in
+    let equivocators =
+      match algo with
+      | Scenario.A3 t ->
+          Nodeset.filter (fun _ -> Random.State.bool st) faulty
+          |> Nodeset.elements
+          |> List.filteri (fun i _ -> i < t)
+          |> Nodeset.of_list
+      | _ -> Nodeset.empty
+    in
+    let per_node =
+      List.map
+        (fun (v, k) ->
+          (v, if Nodeset.mem v equivocators then S.Equivocate else k))
+        kinds
+    in
+    Scenario.make ~gname ~build ~algo ~f ~faulty ~equivocators
+      ~strategy:S.Silent ~per_node ~inputs ()
+  in
+  Grid.make ~name:"fuzz" (Seq.init runs case)
+
+(* E13: the campaigns that caught the implementation-level soundness
+   bugs (DESIGN.md §3), 300 or 30 runs scaled down per row. *)
+let e13 ?(quick = false) () =
+  let scale = if quick then 30 else 300 in
+  List.map
+    (fun (label, gname, f, algo, factor) ->
+      (label, fuzz ~gname ~f ~algo ~runs:(scale / factor) ~seed:0 ()))
+    [
+      ("A2 / cycle5 f=1", "fig1a", 1, Scenario.A2, 1);
+      ("A2 / fig1b f=2", "fig1b", 2, Scenario.A2, 2);
+      ("A1 / cycle5 f=1", "fig1a", 1, Scenario.A1, 2);
+      ("A3 / K4 f=t=1", "complete:4", 1, Scenario.A3 1, 2);
+      ("relay / wheel7 f=1", "wheel:7", 1, Scenario.Relay, 3);
+    ]
+
 let names =
   [
     "e1"; "e1-unanimous"; "e2"; "e5"; "e8"; "edeg"; "e15"; "chaos-smoke";

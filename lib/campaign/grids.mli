@@ -41,6 +41,33 @@ val e15 : ?quick:bool -> unit -> Grid.t
     bench round-complexity vs simulated-tail-latency table. [quick]
     restricts to the wan profile and drop ∈ {0, 1%}. *)
 
+val fuzz :
+  gname:string ->
+  f:int ->
+  algo:Scenario.algo ->
+  runs:int ->
+  seed:int ->
+  ?max_faults:int ->
+  unit ->
+  Grid.t
+(** The randomised falsification grid (E13, [lbcast fuzz]): [runs]
+    cases on the graph [gname], case [k] drawn from
+    [Random.State.make [|0xFACE; seed + k|]]: uniform random inputs, a
+    fault set of size 0 .. [max_faults] (default [f]), an independent
+    broadcast-bound kind per faulty node (a per-node
+    {!Scenario.t.per_node} assignment, or a uniform scenario when every
+    node drew one kind), and for [A3 t] up to [t] equivocators among the
+    faulty nodes, which run [Equivocate]. On a graph meeting the
+    algorithm's condition, every case must reach consensus.
+    @raise Invalid_argument when {!Lbc_graph.Builders.of_spec} rejects
+    [gname]. *)
+
+val e13 : ?quick:bool -> unit -> (string * Grid.t) list
+(** E13 — the five labelled {!fuzz} grids of the falsification table
+    (seed 0): A2 on the 5-cycle (300 runs), A2 on Figure 1(b) at [f = 2]
+    (150), A1 on the 5-cycle (150), A3 with [t = 1] on K4 (150) and
+    relay-EIG on the 7-wheel (100); [quick] divides the runs by 10. *)
+
 val by_name : ?quick:bool -> string -> Grid.t option
 (** Look up ["e1"], ["e1-unanimous"], ["e2"], ["e5"], ["e8"], ["edeg"],
     ["e15"], ["chaos-smoke"], ["smoke"] or ["n100"]. The last three are

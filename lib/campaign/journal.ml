@@ -7,9 +7,10 @@
        [4-byte BE payload length] [payload bytes] [4-byte BE CRC32]
 
    The payload is a compact JSON object carrying the scenario index, its
-   wall time, its algorithm tag, its observability counters and the full
-   verdict. Each append is flushed before returning, so after a crash the
-   file holds every completed verdict plus at most one torn record. On
+   wall time and then a result-cache entry's fields (algorithm tag,
+   observability counters, full verdict) through the cache's codec. Each
+   append is flushed before returning, so after a crash the file holds
+   every completed verdict plus at most one torn record. On
    recovery the frame scan stops at the first violation (short frame,
    oversized length, CRC mismatch, unparseable payload), the torn tail is
    physically truncated so subsequent appends re-frame cleanly, and the
@@ -24,13 +25,7 @@ type header = {
   fingerprint : string;
 }
 
-type record = {
-  index : int;
-  wall_s : float;
-  algo : string;
-  counters : (string * int) list;
-  verdict : Scenario.verdict;
-}
+type record = { index : int; wall_s : float; entry : Cache.entry }
 
 type recovery = {
   recovered : int;  (** intact records adopted from the file *)
@@ -107,43 +102,23 @@ let header_matches h j =
 
 let record_json r =
   Jsonio.Obj
-    [
-      ("i", Jsonio.Int r.index);
-      ("wall_s", Jsonio.Float r.wall_s);
-      ("algo", Jsonio.Str r.algo);
-      ( "counters",
-        Jsonio.Obj (List.map (fun (k, v) -> (k, Jsonio.Int v)) r.counters) );
-      ("verdict", Scenario.verdict_to_json r.verdict);
-    ]
+    (("i", Jsonio.Int r.index)
+    :: ("wall_s", Jsonio.Float r.wall_s)
+    :: Cache.entry_fields r.entry)
 
 let record_of_json j =
   match
     ( Option.bind (Jsonio.member "i" j) Jsonio.to_int,
-      Option.bind (Jsonio.member "wall_s" j) Jsonio.to_float,
-      Option.bind (Jsonio.member "algo" j) Jsonio.to_str,
-      Jsonio.member "counters" j,
-      Jsonio.member "verdict" j )
+      Option.bind (Jsonio.member "wall_s" j) Jsonio.to_float )
   with
-  | Some index, Some wall_s, Some algo, Some (Jsonio.Obj cs), Some vj -> (
-      match Scenario.verdict_of_json vj with
-      | Error _ -> None
-      | Ok verdict ->
-          let counters =
-            List.filter_map
-              (fun (k, v) -> Option.map (fun i -> (k, i)) (Jsonio.to_int v))
-              cs
-          in
-          Some
-            {
-              index;
-              (* Clamp: a clock step backwards mid-scenario, or a
-                 damaged record, must not surface as negative wall
-                 time in the resumed artifact. *)
-              wall_s = Float.max 0.0 wall_s;
-              algo;
-              counters;
-              verdict;
-            })
+  | Some index, Some wall_s ->
+      Option.map
+        (fun entry ->
+          (* Clamp: a clock step backwards mid-scenario, or a damaged
+             record, must not surface as negative wall time in the
+             resumed artifact. *)
+          { index; wall_s = Float.max 0.0 wall_s; entry })
+        (Cache.entry_of_json j)
   | _ -> None
 
 (* A corrupt length prefix must not drive a gigabyte allocation: no real

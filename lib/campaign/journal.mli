@@ -25,9 +25,9 @@ type header = {
 type record = {
   index : int;  (** scenario index within the grid *)
   wall_s : float;  (** execution wall time (non-deterministic) *)
-  algo : string;  (** {!Scenario.algo_name}, keys the stats section *)
-  counters : (string * int) list;  (** sorted observability counters *)
-  verdict : Scenario.verdict;
+  entry : Cache.entry;
+      (** algorithm tag, counters and verdict, written with the cache's
+          codec ({!Cache.entry_fields}) after ["i"] and ["wall_s"] *)
 }
 
 type recovery = {

@@ -148,13 +148,12 @@ let run ?(config = default) grid =
           (* A hit replays the stored verdict; only the index is
              positional and is remapped to this grid. wall_s is 0: the
              execution cost was not paid by this run. *)
-          {
-            Journal.index = i;
-            wall_s = 0.0;
-            algo = e.Cache.algo;
-            counters = e.Cache.counters;
-            verdict = { e.Cache.verdict with Scenario.index = i };
-          }
+          let v = e.Cache.verdict in
+          let entry =
+            if v.Scenario.index = i then e
+            else { e with Cache.verdict = { v with Scenario.index = i } }
+          in
+          { Journal.index = i; wall_s = 0.0; entry }
       | None ->
           let t0 = now () in
           let v, counters =
@@ -176,6 +175,13 @@ let run ?(config = default) grid =
                  failwith
                    (Printf.sprintf "scenario %s crashed: %s" v.Scenario.id exn));
           let wall = now () -. t0 in
+          let entry =
+            {
+              Cache.algo = Scenario.algo_name s.Scenario.algo;
+              counters;
+              verdict = v;
+            }
+          in
           (match cache with
           | Some c -> (
               (* Watchdog-induced timeouts are wall-clock accidents, not
@@ -183,21 +189,9 @@ let run ?(config = default) grid =
                  future runs with this machine's scheduling luck. *)
               match (v.Scenario.status, config.deadline_s) with
               | Scenario.Timed_out _, Some _ -> ()
-              | _ ->
-                  Cache.store c ~key
-                    {
-                      Cache.algo = Scenario.algo_name s.Scenario.algo;
-                      counters;
-                      verdict = v;
-                    })
+              | _ -> Cache.store c ~key entry)
           | None -> ());
-          {
-            Journal.index = i;
-            wall_s = wall;
-            algo = Scenario.algo_name s.Scenario.algo;
-            counters;
-            verdict = v;
-          }
+          { Journal.index = i; wall_s = wall; entry }
     in
     (* The critical section must unlock on any exception (journal I/O
        errors and the kill shim both raise mid-append). Recording is
@@ -280,9 +274,12 @@ let run ?(config = default) grid =
                {
                  Journal.index = i;
                  wall_s = 0.0;
-                 algo = Scenario.algo_name s.Scenario.algo;
-                 counters = [];
-                 verdict;
+                 entry =
+                   {
+                     Cache.algo = Scenario.algo_name s.Scenario.algo;
+                     counters = [];
+                     verdict;
+                   };
                });
         { Artifact.index = i; id; message })
       failures
@@ -291,13 +288,14 @@ let run ?(config = default) grid =
     Partial { completed = !done_count; total; recovery }
   else begin
     let records = Array.map Option.get slots in
-    let verdicts = Array.map (fun r -> r.Journal.verdict) records in
+    let verdicts = Array.map (fun r -> r.Journal.entry.Cache.verdict) records in
     (* Stats merge in scenario order — but merging is commutative, so any
        order (and any resume/steal split) yields the same aggregate. *)
     let stats =
       Array.fold_left
         (fun acc (r : Journal.record) ->
-          Stats.merge acc (Stats.single ~algo:r.Journal.algo r.Journal.counters))
+          let e = r.Journal.entry in
+          Stats.merge acc (Stats.single ~algo:e.Cache.algo e.Cache.counters))
         Stats.empty records
     in
     let slowest =

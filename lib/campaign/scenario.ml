@@ -32,14 +32,73 @@ type t = {
   faulty : Nodeset.t;
   equivocators : Nodeset.t;
   strategy : S.kind;
+  per_node : (int * S.kind) list;
   inputs : Bit.t array;
   chaos : Perturb.spec option;
   net : Net.profile option;
 }
 
+(* Sorted by node; an assignment giving every faulty node one kind
+   collapses to the uniform [strategy] spelling, and a mixed one keeps
+   [strategy] as its lowest node's kind. *)
+let normalise s =
+  let by_node (u, _) (v, _) = Int.compare u v in
+  match List.stable_sort by_node s.per_node with
+  | [] -> s
+  | (_, k) :: _ as sorted ->
+      if
+        List.for_all
+          (fun (_, k') -> String.equal (S.to_string k) (S.to_string k'))
+          sorted
+        && List.equal Int.equal (List.map fst sorted)
+             (Nodeset.elements s.faulty)
+      then { s with strategy = k; per_node = [] }
+      else { s with strategy = k; per_node = sorted }
+
 let make ~gname ~build ~algo ~f ~faulty ?(equivocators = Nodeset.empty)
-    ~strategy ~inputs ?chaos ?net () =
-  { gname; build; algo; f; faulty; equivocators; strategy; inputs; chaos; net }
+    ~strategy ?(per_node = []) ~inputs ?chaos ?net () =
+  let s =
+    { gname; build; algo; f; faulty; equivocators; strategy; per_node; inputs;
+      chaos; net }
+  in
+  match per_node with [] -> s | _ -> normalise s
+
+let node_strategy s =
+  match s.per_node with
+  | [] -> fun _ -> s.strategy
+  | l -> fun v -> Option.value ~default:s.strategy (List.assoc_opt v l)
+
+(* The adversary's spelling: [pp] of the uniform kind, or per node
+   [V:KIND/...] in ids ([S.pp_kind]) and [V=KIND/...] after [-s]
+   ([S.to_string]). Neither separator occurs in a kind's spelling, and
+   neither needs shell quoting. *)
+let spell ~sep pp s =
+  match s.per_node with
+  | [] -> pp s.strategy
+  | l ->
+      String.concat "/"
+        (List.map (fun (v, k) -> Printf.sprintf "%d%c%s" v sep (pp k)) l)
+
+let strategy_label s =
+  spell ~sep:':' (fun k -> Format.asprintf "%a" S.pp_kind k) s
+
+let strategy_of_string str =
+  let item part =
+    match String.split_on_char '=' part with
+    | [ v; k ] -> (
+        match int_of_string_opt v with
+        | Some v when v >= 0 -> Result.map (fun k -> (v, k)) (S.of_string k)
+        | _ -> Error (Printf.sprintf "%s: bad node id %S" str v))
+    | _ -> Error (Printf.sprintf "%s: %S is not NODE=STRATEGY" str part)
+  in
+  let rec items acc = function
+    | [] ->
+        let l = List.rev acc in
+        Ok (snd (List.hd l), l)
+    | part :: rest -> Result.bind (item part) (fun x -> items (x :: acc) rest)
+  in
+  if String.contains str '=' then items [] (String.split_on_char '/' str)
+  else Result.map (fun k -> (k, [])) (S.of_string str)
 
 let ids_string s = if Nodeset.is_empty s then "-" else Nodeset.to_csv s
 
@@ -72,8 +131,7 @@ let id s =
     | Some _ | None -> ""
   in
   Printf.sprintf "%s|%s|f=%d%s|faulty=%s%s|s=%s|in=%s%s%s" (algo_name s.algo)
-    s.gname s.f t_part (ids_string s.faulty) eq_part
-    (Format.asprintf "%a" S.pp_kind s.strategy)
+    s.gname s.f t_part (ids_string s.faulty) eq_part (strategy_label s)
     (Bit.array_to_string s.inputs) chaos_part net_part
 
 (* FNV-1a over the id string: a deterministic, platform-stable hash (we
@@ -117,13 +175,22 @@ let validate s g =
       (Nodeset.to_string outside) n;
   if not (Nodeset.subset s.equivocators s.faulty) then
     bad "equivocators %s are not all faulty"
-      (Nodeset.to_string (Nodeset.diff s.equivocators s.faulty))
+      (Nodeset.to_string (Nodeset.diff s.equivocators s.faulty));
+  match s.per_node with
+  | [] -> ()
+  | l ->
+      let named = List.map fst l in
+      if not (List.equal Int.equal named (Nodeset.elements s.faulty)) then
+        bad "per-node strategies name nodes %s, not the faulty set %s"
+          (String.concat "," (List.map string_of_int named))
+          (Nodeset.to_string s.faulty);
+      if s.algo = Eig then bad "eig takes one strategy for every faulty node"
 
 let run_unfueled s ~seed =
   let g = s.build () in
   let n = G.size g in
   validate s g;
-  let strategy _ = s.strategy in
+  let strategy = node_strategy s in
   let go () =
     match s.algo with
   | A1 ->
@@ -183,7 +250,7 @@ let repro_command s ~seed =
        else Printf.sprintf "--faulty %s" (ids_string s.faulty));
       (if Nodeset.is_empty s.equivocators then ""
        else Printf.sprintf "--equivocators %s" (ids_string s.equivocators));
-      Printf.sprintf "-s %s" (S.to_string s.strategy);
+      Printf.sprintf "-s %s" (spell ~sep:'=' S.to_string s);
       Printf.sprintf "-i %s" (Bit.array_to_string s.inputs);
       (match s.chaos with
       | None -> ""

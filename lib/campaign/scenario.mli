@@ -41,7 +41,13 @@ type t = {
   f : int;
   faulty : Lbc_graph.Nodeset.t;
   equivocators : Lbc_graph.Nodeset.t;  (** for {!A3}; empty otherwise *)
-  strategy : Lbc_adversary.Strategy.kind;  (** applied to every faulty node *)
+  strategy : Lbc_adversary.Strategy.kind;
+      (** applied to every faulty node when [per_node] is empty *)
+  per_node : (int * Lbc_adversary.Strategy.kind) list;
+      (** a mixed adversary: one kind per faulty node, sorted by node and
+          naming exactly the faulty set; [strategy] is then the lowest
+          node's kind. Empty when every faulty node runs [strategy] —
+          {!make} collapses an assignment of one kind to that form *)
   inputs : Lbc_consensus.Bit.t array;
   chaos : Lbc_sim.Perturb.spec option;
       (** environment perturbation installed around the execution
@@ -62,15 +68,38 @@ val make :
   faulty:Lbc_graph.Nodeset.t ->
   ?equivocators:Lbc_graph.Nodeset.t ->
   strategy:Lbc_adversary.Strategy.kind ->
+  ?per_node:(int * Lbc_adversary.Strategy.kind) list ->
   inputs:Lbc_consensus.Bit.t array ->
   ?chaos:Lbc_sim.Perturb.spec ->
   ?net:Lbc_net.Net.profile ->
   unit ->
   t
+(** [per_node] (default empty) is normalised as its field describes. *)
+
+val node_strategy : t -> int -> Lbc_adversary.Strategy.kind
+(** The kind a faulty node runs: its [per_node] entry, else [strategy]. *)
+
+val strategy_label : t -> string
+(** The adversary as {!id} spells it after [s=]:
+    {!Lbc_adversary.Strategy.pp_kind} of [strategy], or [V:KIND/V:KIND...]
+    per node for a mixed one. *)
+
+val strategy_of_string :
+  string ->
+  (Lbc_adversary.Strategy.kind * (int * Lbc_adversary.Strategy.kind) list,
+   string)
+  result
+(** Parse a [-s] value, the spelling {!repro_command} prints: a
+    {!Lbc_adversary.Strategy.of_string} kind [k] gives [(k, [])], and the
+    mixed form [V=KIND/V=KIND...] (e.g. [1=noise:2/3=omit:1,4]) gives
+    the first item's kind and the items, for {!make}; {!validate} then
+    rejects a list naming a node twice or other nodes than the faulty
+    ones. *)
 
 val id : t -> string
 (** Canonical content-derived identifier, e.g.
-    ["a1|cycle:5|f=1|faulty=2|s=flip-forwards|in=00100"]. Stable across
+    ["a1|cycle:5|f=1|faulty=2|s=flip-forwards|in=00100"] (a mixed
+    adversary spells [s=] as {!strategy_label} does). Stable across
     runs and independent of position in any grid. Scenarios with a chaos
     spec append a [|chaos=...] segment (canonical {!Lbc_sim.Perturb.to_string}
     spelling); [chaos = None] keeps the historical spelling, so existing
@@ -86,7 +115,8 @@ val repro_command : t -> seed:int -> string
 val validate : t -> Lbc_graph.Graph.t -> unit
 (** Check the scenario against its built graph, as {!run} does before
     executing: the inputs must cover the graph, every faulty node must
-    be in it, and every equivocator must be faulty.
+    be in it, every equivocator must be faulty, and a [per_node] list
+    must name exactly the faulty nodes (and not run {!Eig}).
     @raise Invalid_argument naming the scenario and the violation. *)
 
 val run : ?max_rounds:int -> t -> seed:int -> Lbc_consensus.Spec.outcome * int

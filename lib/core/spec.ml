@@ -52,10 +52,3 @@ let decision o =
   else None
 
 let consensus_ok o = agreement o && validity o
-
-let pp fmt o =
-  let show = function Some b -> Bit.to_string b | None -> "-" in
-  Format.fprintf fmt
-    "outcome(outputs=[%s]; faulty=%a; rounds=%d; phases=%d; msgs=%d)"
-    (String.concat "" (Array.to_list (Array.map show o.outputs)))
-    Nodeset.pp o.faulty o.rounds o.phases o.transmissions

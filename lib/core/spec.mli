@@ -34,5 +34,3 @@ val decision : outcome -> Bit.t option
 
 val consensus_ok : outcome -> bool
 (** [agreement o && validity o]. *)
-
-val pp : Format.formatter -> outcome -> unit

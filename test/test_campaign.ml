@@ -81,6 +81,53 @@ let test_scenario_id () =
   check "id depends on content" true
     (Scenario.id (scenario ()) <> Scenario.id (scenario ~strategy:S.Lie ()))
 
+(* A per-node adversary: one kind per faulty node. Naming every faulty
+   node with one kind collapses to the uniform scenario; a mixed one has
+   its own id and [-s] spellings, which parse back, and [validate]
+   rejects a list naming other nodes than the faulty ones. *)
+let test_scenario_per_node () =
+  let mk ?(algo = Scenario.A1) per_node =
+    Scenario.make ~gname:"cycle:5" ~build:(fun () -> B.cycle 5) ~algo ~f:2
+      ~faulty:(Nodeset.of_list [ 1; 3 ]) ~strategy:S.Silent ~per_node
+      ~inputs:(Array.make 5 Bit.One) ()
+  in
+  let uniform = mk [ (3, S.Lie); (1, S.Lie) ] in
+  check "one kind collapses" true (uniform.Scenario.per_node = []);
+  check_str "uniform id" "a1|cycle:5|f=2|faulty=1,3|s=lie|in=11111"
+    (Scenario.id uniform);
+  let mixed =
+    mk [ (3, S.Noise 2); (1, S.Omit_from (Nodeset.of_list [ 0; 4 ])) ]
+  in
+  check_str "mixed id"
+    "a1|cycle:5|f=2|faulty=1,3|s=1:omit-from-{0, 4}/3:noise-2|in=11111"
+    (Scenario.id mixed);
+  check_str "mixed -s"
+    "lbcast run -g cycle:5 --algo a1 -f 2 --faulty 1,3 -s 1=omit:0,4/3=noise:2 \
+     -i 11111 --seed 0"
+    (Scenario.repro_command mixed ~seed:0);
+  (match Scenario.strategy_of_string "1=omit:0,4/3=noise:2" with
+  | Ok (strategy, per_node) ->
+      check_str "parses back" (Scenario.id mixed)
+        (Scenario.id
+           (Scenario.make ~gname:"cycle:5" ~build:(fun () -> B.cycle 5)
+              ~algo:Scenario.A1 ~f:2 ~faulty:(Nodeset.of_list [ 1; 3 ])
+              ~strategy ~per_node ~inputs:(Array.make 5 Bit.One) ()))
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun bad ->
+      check (bad ^ " rejected") true
+        (Result.is_error (Scenario.strategy_of_string bad)))
+    [ "1=lie/3"; "x=lie"; "-1=lie"; "1=bogus"; "1=lie/"; "1=lie=2" ];
+  let rejects what s =
+    match Scenario.validate s (B.cycle 5) with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" what
+  in
+  rejects "a node outside the faulty set" (mk [ (1, S.Lie); (4, S.Silent) ]);
+  rejects "a node named twice" (mk [ (1, S.Lie); (1, S.Silent); (3, S.Lie) ]);
+  rejects "a faulty node left out" (mk [ (1, S.Lie) ]);
+  rejects "eig" (mk ~algo:Scenario.Eig [ (1, S.Lie); (3, S.Silent) ])
+
 let test_scenario_seed () =
   let s = scenario () in
   check "seed stable" true
@@ -976,12 +1023,13 @@ let scenario_of_repro cmd =
   let int k = int_of_string (need k) in
   let gname = need "-g" in
   let t = Option.fold ~none:0 ~some:int_of_string (get "-t") in
+  let strategy, per_node = ok "-s" (Scenario.strategy_of_string (need "-s")) in
   ( Scenario.make ~gname
       ~build:(fun () -> ok "-g" (B.of_spec gname))
       ~algo:(ok "--algo" (Scenario.algo_of_name ~t (need "--algo")))
       ~f:(int "-f") ~faulty:(ids "--faulty")
       ~equivocators:(ids "--equivocators")
-      ~strategy:(ok "-s" (S.of_string (need "-s")))
+      ~strategy ~per_node
       ~inputs:(ok "-i" (Bit.array_of_string (need "-i")))
       ?chaos:(opt "--chaos" Lbc_sim.Perturb.parse)
       ?net:(opt "--net" Lbc_net.Net.parse)
@@ -991,12 +1039,13 @@ let scenario_of_repro cmd =
 (* Every predefined scenario's graph spec names the graph it runs, and
    every field its repro line prints parses back to the same value: the
    rebuilt scenario has the same content-derived id (whose strategy
-   rendering is [pp_kind], not the [-s] spelling) and the same seed. *)
+   rendering is [pp_kind], not the [-s] spelling) and the same seed. The
+   E13 fuzz grids add per-node (mixed) adversaries and A3 equivocators. *)
 let test_repro_lines_parse_back () =
   let module G = Lbc_graph.Graph in
+  let mixed = ref 0 in
   List.iter
-    (fun name ->
-      let grid = Option.get (C.Grids.by_name name) in
+    (fun (name, grid) ->
       Array.iter
         (fun (s : Scenario.t) ->
           let built = s.Scenario.build () in
@@ -1006,12 +1055,15 @@ let test_repro_lines_parse_back () =
                 Alcotest.failf "%s: %s names another graph" name
                   s.Scenario.gname
           | Error e -> Alcotest.failf "%s: %s" name e);
+          if s.Scenario.per_node <> [] then incr mixed;
           let cmd = Scenario.repro_command s ~seed:42 in
           let back, seed = scenario_of_repro cmd in
           if Scenario.id back <> Scenario.id s || seed <> 42 then
             Alcotest.failf "%s: %s replays %s" name cmd (Scenario.id back))
         (Grid.to_array grid))
-    C.Grids.names
+    (List.map (fun name -> (name, Option.get (C.Grids.by_name name))) C.Grids.names
+    @ C.Grids.e13 ());
+  check "some fuzz scenario is mixed" true (!mixed > 0)
 
 (* The e8 EIG scenario's repro line replays the campaign execution:
    before [lbcast run] went through [Scenario.run] it ignored [-s lie]
@@ -1068,6 +1120,8 @@ let () =
         [
           Alcotest.test_case "canonical id" `Quick test_scenario_id;
           Alcotest.test_case "seeds" `Quick test_scenario_seed;
+          Alcotest.test_case "per-node strategies" `Quick
+            test_scenario_per_node;
           Alcotest.test_case "verdict roundtrip" `Quick test_verdict_roundtrip;
           Alcotest.test_case "counterexample" `Quick
             test_failing_verdict_counterexample;

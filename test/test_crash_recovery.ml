@@ -65,9 +65,12 @@ let sample_record i =
   {
     Journal.index = i;
     wall_s = 0.25;
-    algo = "a2";
-    counters = [ ("engine.rounds", 7); ("engine.tx", i) ];
-    verdict = v;
+    entry =
+      {
+        C.Cache.algo = "a2";
+        counters = [ ("engine.rounds", 7); ("engine.tx", i) ];
+        verdict = v;
+      };
   }
 
 let test_journal_roundtrip () =
@@ -173,7 +176,7 @@ let test_cache_store_find () =
         {
           C.Cache.algo = "a2";
           counters = [ ("engine.rounds", 11) ];
-          verdict = (sample_record 5).Journal.verdict;
+          verdict = (sample_record 5).Journal.entry.C.Cache.verdict;
         }
       in
       C.Cache.store c ~key entry;
@@ -206,7 +209,7 @@ let test_cache_collision_degrades_to_miss () =
         {
           C.Cache.algo = "a2";
           counters = [];
-          verdict = (sample_record 0).Journal.verdict;
+          verdict = (sample_record 0).Journal.entry.C.Cache.verdict;
         };
       (* overwrite the stored file with a well-formed entry for a
          DIFFERENT key, simulating a hash collision: the filename still
@@ -221,7 +224,7 @@ let test_cache_collision_degrades_to_miss () =
             {
               C.Cache.algo = "a2";
               counters = [];
-              verdict = (sample_record 1).Journal.verdict;
+              verdict = (sample_record 1).Journal.entry.C.Cache.verdict;
             };
           match (Sys.readdir dir, Sys.readdir dir2) with
           | [| victim |], [| impostor |] ->
@@ -448,6 +451,47 @@ let test_kill_resume_kill_resume () =
             (C.Artifact.deterministic_string baseline)
             (C.Artifact.deterministic_string a))
 
+(* A killed smoke campaign whose journal then takes 1-4 random byte
+   edits (flips, cuts, inserts, repeats) still resumes to the
+   uninterrupted artifact: a damaged header discards the file whole, a
+   damaged record truncates the journal there, and whatever is lost is
+   executed again. *)
+let prop_mutated_journal_resumes =
+  let grid () = Option.get (C.Grids.by_name "smoke") in
+  let baseline =
+    lazy
+      (C.Artifact.deterministic_string
+         (C.Runner.run_exn ~config:(config ()) (grid ())))
+  in
+  QCheck.Test.make ~name:"mutated journal resumes to the uninterrupted run"
+    ~count:25
+    (QCheck.make
+       ~print:(fun ((k, torn), edits) ->
+         Printf.sprintf "kill after %d (torn=%b); %s" k torn
+           (Mutation.print_edits edits))
+       QCheck.Gen.(
+         pair
+           (pair (int_range 1 80) bool)
+           (Mutation.gen_edits_at (int_bound 1_000_000))))
+    (fun ((k, torn), edits) ->
+      with_temp (fun path ->
+          Sys.remove path;
+          (match
+             C.Runner.run
+               ~config:(config ~journal:path ~kill:(k, torn) ())
+               (grid ())
+           with
+          | _ -> QCheck.Test.fail_reportf "kill point %d did not fire" k
+          | exception Journal.Killed _ -> ());
+          let body = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (List.fold_left Mutation.apply_edit body edits));
+          match C.Runner.run ~config:(config ~journal:path ()) (grid ()) with
+          | C.Runner.Partial _ -> QCheck.Test.fail_report "resume stopped"
+          | C.Runner.Complete a ->
+              String.equal (Lazy.force baseline)
+                (C.Artifact.deterministic_string a)))
+
 let () =
   Alcotest.run "crash-recovery"
     [
@@ -490,5 +534,6 @@ let () =
             test_kill_point_fuzzer;
           Alcotest.test_case "kill during recovery" `Quick
             test_kill_resume_kill_resume;
+          QCheck_alcotest.to_alcotest prop_mutated_journal_resumes;
         ] );
     ]

@@ -169,77 +169,22 @@ let prop_mutation_is_miss_or_original dir =
 (* Readers never crash                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Random edits of a valid text. Inserted bytes lean towards the
-   grammars' own punctuation, so edits reach past the first token. *)
-type edit =
-  | Flip_byte of int * int
-  | Cut of int * int
-  | Insert of int * string
-  | Repeat of int * int
-
-let gen_edits =
-  let open QCheck.Gen in
-  let syntax =
-    oneof
-      [
-        printable;
-        oneofl
-          [ '"'; '{'; '}'; '['; ']'; ','; ':'; '='; '-'; '.'; '\\'; 'e'; '0';
-            '9'; ' '; '\n'; '\000'; '\255' ];
-      ]
-  in
-  list_size (int_range 1 4)
-    (oneof
-       [
-         map2 (fun p x -> Flip_byte (p, x)) nat (int_range 1 255);
-         map2 (fun p k -> Cut (p, k)) nat (int_range 1 12);
-         map2 (fun p t -> Insert (p, t)) nat (string_size ~gen:syntax (int_range 1 8));
-         map2 (fun p k -> Repeat (p, k)) nat (int_range 1 24);
-       ])
-
-let print_edits edits =
-  String.concat "; "
-    (List.map
-       (function
-         | Flip_byte (p, x) -> Printf.sprintf "flip %d lxor %d" p x
-         | Cut (p, k) -> Printf.sprintf "cut %d+%d" p k
-         | Insert (p, t) -> Printf.sprintf "insert %d %S" p t
-         | Repeat (p, k) -> Printf.sprintf "repeat %d+%d" p k)
-       edits)
-
-let apply_edit s e =
-  let len = String.length s in
-  let at p = p mod (len + 1) in
-  let span p k = min k (len - at p) in
-  match e with
-  | Flip_byte (p, x) ->
-      if len = 0 then s
-      else begin
-        let b = Bytes.of_string s in
-        let p = p mod len in
-        Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor x));
-        Bytes.to_string b
-      end
-  | Cut (p, k) ->
-      let p = at p in
-      String.sub s 0 p ^ String.sub s (p + span p k) (len - p - span p k)
-  | Insert (p, t) ->
-      let p = at p in
-      String.sub s 0 p ^ t ^ String.sub s p (len - p)
-  | Repeat (p, k) ->
-      let p = at p in
-      String.sub s 0 (p + span p k) ^ String.sub s p (len - p)
-
 (* [read] over random edits of one of [bases]: any result is fine, an
    exception is not. *)
 let never_raises name ~count bases read =
   let bases = Array.of_list bases in
   QCheck.Test.make ~name ~count
     (QCheck.make
-       ~print:(fun (i, edits) -> Printf.sprintf "base %d: %s" i (print_edits edits))
-       QCheck.Gen.(pair (int_bound (Array.length bases - 1)) gen_edits))
+       ~print:(fun (i, edits) ->
+         Printf.sprintf "base %d: %s" i (Mutation.print_edits edits))
+       QCheck.Gen.(
+         pair (int_bound (Array.length bases - 1)) Mutation.gen_edits))
     (fun (i, edits) ->
-      let s = List.fold_left apply_edit bases.(i mod Array.length bases) edits in
+      let s =
+        List.fold_left Mutation.apply_edit
+          bases.(i mod Array.length bases)
+          edits
+      in
       match read s with
       | Ok _ | Error _ -> true
       | exception e ->
