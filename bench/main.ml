@@ -599,11 +599,13 @@ let e11 () =
   let flood_once g =
     let n = G.size g in
     let topo = Lbc_sim.Engine.topology_of_graph g in
+    (* One path intern table for the flood's stores, as in an execution. *)
+    let paths = Lbc_flood.Path_intern.create g in
     let roles =
       Array.init n (fun v ->
           Lbc_sim.Engine.Honest
             (Lbc_flood.Flood.proc
-               (Lbc_flood.Flood.create g ~me:v ~vcompare:Bit.compare
+               (Lbc_flood.Flood.create g ~me:v ~vcompare:Bit.compare ~paths
                   ~initiate:Bit.One ~default:Bit.default ())))
     in
     let r =
@@ -663,8 +665,8 @@ let e13 () =
         bad)
     (Campaign.Grids.e13 ~quick ());
   Printf.printf
-    "\n  every violation would print a reproduction seed; none should \
-     appear on\n  condition-satisfying graphs.\n"
+    "\n  every violation would print its verdict with an lbcast run repro \
+     line;\n  none should appear on condition-satisfying graphs.\n"
 
 (* E14: graceful degradation under environment chaos — the perturbation
    layer (lib/sim/perturb) violates the paper's perfect-synchrony model

@@ -27,7 +27,6 @@ module Nodeset = Lbc_graph.Nodeset
 module Bit = Lbc_consensus.Bit
 module Spec = Lbc_consensus.Spec
 module Solve = Lbc_consensus.Solve
-module A1 = Lbc_consensus.Algorithm1
 module A2 = Lbc_consensus.Algorithm2
 module A3 = Lbc_consensus.Algorithm3
 module S = Lbc_adversary.Strategy
@@ -287,16 +286,12 @@ let do_attack g lemma f t =
       exit 2
   in
   Printf.printf "%s\n" (Gadget.describe gadget);
-  let hybrid = t > 0 in
-  let proc =
-    if hybrid then A3.proc ~g ~f ~t else A1.proc ~g ~f
-  in
-  let rounds =
-    if hybrid then A3.phases ~g ~f ~t * G.size g else A1.rounds ~g ~f
-  in
+  (* Algorithm 3 with t = 0 is Algorithm 1: same schedule, same rounds. *)
+  let proc = A3.proc ~g ~f ~t in
+  let rounds = A3.phases ~g ~f ~t * G.size g in
   Printf.printf "running Algorithm %d on the doubled network (%d nodes, %d \
                  rounds)...\n"
-    (if hybrid then 3 else 1)
+    (if t > 0 then 3 else 1)
     (Gadget.network_size gadget)
     rounds;
   let v = Gadget.run gadget ~proc ~rounds in
@@ -889,6 +884,11 @@ let attack_cmd =
              (Lemma D.2). With $(b,-t) > 0 the gadget runs Algorithm 3, \
              otherwise Algorithm 1.")
   in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:"the replayed execution E2 kept agreement: no split was forced."
+    :: exits
+  in
   Cmd.v
     (Cmd.info "attack" ~exits
        ~doc:"Execute a necessity gadget on a condition-violating graph.")
@@ -922,6 +922,11 @@ let fuzz_cmd =
   in
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Base seed.")
+  in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:"some case violated agreement or validity (each is printed)."
+    :: exits
   in
   Cmd.v
     (Cmd.info "fuzz" ~exits
@@ -1060,6 +1065,17 @@ let campaign_cmd =
              leaving a torn half-record at the journal tail. Resuming must \
              reproduce the uninterrupted artifact byte-for-byte.")
   in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:
+        "the campaign recorded a violation, crash, timeout or quarantined \
+         scenario, or a $(b,--strict) run aborted on one."
+    :: Cmd.Exit.info 70
+         ~doc:
+           "the simulated crash of $(b,--kill-after-verdicts) fired; the \
+            journal is left for the resuming run."
+    :: exits
+  in
   Cmd.v
     (Cmd.info "campaign" ~exits
        ~doc:
@@ -1095,6 +1111,13 @@ let report_cmd =
           ~doc:
             "Also print the per-algorithm counter aggregates from the \
              artifact's deterministic stats section.")
+  in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:
+        "the artifact records a violation, crash, timeout or quarantined \
+         scenario."
+    :: exits
   in
   Cmd.v
     (Cmd.info "report" ~exits

@@ -41,6 +41,8 @@
 #   - `fuzz` past the 6-cycle's condition (f = 2) must exit 1, and the
 #     first repro line it prints, run as printed, must exit 1 with
 #     agreement or validity false;
+#   - the man pages of `fuzz`, `campaign`, `report` and `attack` must
+#     list the exit codes those commands use beyond 0, 2 and 125;
 #   - an E15 smoke grid under the wan network profile with drop chaos:
 #     the lbc-campaign/5 artifact must carry a simulated-time section
 #     and fingerprint identically on 1 and 4 domains;
@@ -51,6 +53,9 @@
 #     directory (E17's kill/resume and cache identities run here), its
 #     E17 cold-run cache misses must equal the grid's distinct scenario
 #     count, and an unknown argument must exit 2;
+#   - the full paper-experiment table: `bench/main.exe` at 1 and 2
+#     domains must print test/golden/full.expected, up to the six
+#     wall-clock and work-stealing lines check_golden masks;
 #   - an output-identity gate on four lbcbench workloads: one pass each
 #     of cycle64-a2 and fig1b-a2 (Algorithm 2), cycle5-exhaustive
 #     (Algorithms 1 and 2 on the E1 grid) and durable-chaos (chaos,
@@ -366,6 +371,25 @@ set -e
        cat "$tmp/fuzz_repro.txt"; exit 1; }
 echo "fuzz repro OK: lbcast $fuzz_repro exits 1"
 
+echo "== man pages list each command's exit codes =="
+# exit_codes COMMAND CODE...: each CODE must head an entry of the
+# command's EXIT STATUS section.
+exit_codes() {
+  cmd=$1
+  shift
+  dune exec bin/lbcast.exe -- "$cmd" --help=plain > "$tmp/man.txt"
+  for code in "$@"; do
+    sed -n '/^EXIT STATUS/,/^SEE ALSO/p' "$tmp/man.txt" \
+      | grep -q "^       $code  *[^ ]" \
+      || { echo "FAIL: lbcast $cmd --help lists no exit code $code"; exit 1; }
+  done
+  echo "lbcast $cmd: exit codes $* documented"
+}
+exit_codes fuzz 1
+exit_codes campaign 1 70
+exit_codes report 1
+exit_codes attack 1
+
 echo "== chaos-smoke campaign: crashes and timeouts are contained =="
 # This grid deliberately contains a Model_violation scenario and a
 # 110-round Petersen run under a 60-round budget: the campaign must run
@@ -518,6 +542,17 @@ rc=0
 [ "$rc" -eq 2 ] \
   || { echo "FAIL: bench/main.exe --bogus exited $rc, expected 2"; exit 1; }
 echo "harness OK: quick run complete, E17 cold misses $misses, no files written, --bogus exits 2"
+
+echo "== paper-experiment harness (full) matches its golden table =="
+# The full table pins every experiment's rows (E3/E4/E6b gadget runs and
+# E6's Algorithm 3 runs included) at 1 and 2 domains.
+"$harness" > "$tmp/full-1.out"
+"$harness" --domains 2 > "$tmp/full-2.out"
+./_build/default/test/golden/check_golden.exe full test/golden/full.expected \
+  "$tmp/full-1.out" "$tmp/full-2.out" \
+  || { echo "FAIL: bench/main.exe differs from test/golden/full.expected";
+       exit 1; }
+echo "full golden OK at 1 and 2 domains"
 
 echo "== legacy artifacts rejected =="
 for v in 1 2 3 4; do

@@ -14,7 +14,13 @@
     ({!Lbc_graph.Conditions.lbc_feasible}), for any placement of at most
     [f] Byzantine nodes and any broadcast-bound strategy. Runs
     [Σ_{k≤f} C(n,k)] phases of [n] rounds each — exponential in [f]; see
-    {!Algorithm2} for the O(n) algorithm on 2f-connected graphs. *)
+    {!Algorithm2} for the O(n) algorithm on 2f-connected graphs.
+
+    This is {!Algorithm3}'s schedule with [T = ∅] under local broadcast:
+    the module supplies the schedule [(∅, F)] for every [F] in
+    {!Lbc_graph.Combi.subsets_up_to} order and runs it through
+    {!Phase_driver}, whose phase loop is {!run} and whose reactive
+    per-node process is {!proc}. *)
 
 val phases : g:Lbc_graph.Graph.t -> f:int -> int
 (** Number of phases the algorithm executes on [g]. *)
@@ -25,27 +31,33 @@ val rounds : g:Lbc_graph.Graph.t -> f:int -> int
 val proc :
   g:Lbc_graph.Graph.t ->
   f:int ->
+  paths:Lbc_flood.Path_intern.t ->
   me:int ->
   input:Bit.t ->
   (Bit.t Lbc_flood.Flood.wire, Bit.t) Lbc_sim.Engine.proc
-(** The algorithm as a reactive per-node process for the engine: node
-    [me]'s complete state machine over [phases × size g] rounds (phase
-    boundaries are derived from the round number). Running one such proc
-    per node under {!Lbc_sim.Engine.run} is equivalent to {!run}; the
-    reactive form also runs unmodified on the directed gadget networks of
-    the necessity proofs ({!Lbc_lowerbound}). The output is only
+(** The algorithm as a reactive per-node process for the engine
+    ({!Phase_driver.proc}): node [me]'s complete state machine over
+    [phases × size g] rounds. Running one such proc per node under
+    {!Lbc_sim.Engine.run} is equivalent to {!run}; the reactive form
+    also runs unmodified on the directed gadget networks of the
+    necessity proofs ({!Lbc_lowerbound}). [paths] is the execution's
+    path intern table over [g], the same for every node; every phase's
+    flood store interns in it. [proc ~g ~f] computes the schedule once
+    and shares it across the nodes it is applied to. The output is only
     meaningful after the full schedule of rounds. *)
 
-type phase_observation = {
+type phase_observation = Phase_driver.phase_observation = {
   phase_idx : int;
+  cap_t : Lbc_graph.Nodeset.t;  (** always empty here *)
   cap_f : Lbc_graph.Nodeset.t;  (** the phase's candidate fault set F *)
   stores : Bit.t Lbc_flood.Flood.store option array;
       (** honest nodes' flood stores after step (a); [None] for faulty *)
   before : Bit.t array;  (** states at the start of the phase *)
   after : Bit.t array;  (** states after step (c) *)
 }
-(** Everything a white-box observer can see about one phase — used by the
-    lemma-level property tests and the ablation benchmarks. *)
+(** The driver's per-phase record, re-exported: everything a white-box
+    observer can see about one phase — used by the lemma-level property
+    tests and the ablation benchmarks. *)
 
 val run :
   g:Lbc_graph.Graph.t ->

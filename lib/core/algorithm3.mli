@@ -14,7 +14,11 @@
     ⌊3(f−t)/2⌋ + 2t + 1, plus the degree (t = 0) or small-set
     neighbourhood (t > 0) bound. With [t = 0] it coincides with
     {!Algorithm1}; with [t = f] it handles the classical point-to-point
-    adversary. *)
+    adversary.
+
+    The module supplies the [(T, F)] schedule and the hybrid model; the
+    phase loop ({!run}) and the reactive per-node process ({!proc}) are
+    {!Phase_driver}'s, shared with {!Algorithm1}. *)
 
 val phases : g:Lbc_graph.Graph.t -> f:int -> t:int -> int
 (** Number of [(F, T)] phases: [Σ_{j≤t} C(n,j) · Σ_{k≤f−j} C(n−j,k)]. *)
@@ -23,12 +27,15 @@ val proc :
   g:Lbc_graph.Graph.t ->
   f:int ->
   t:int ->
+  paths:Lbc_flood.Path_intern.t ->
   me:int ->
   input:Bit.t ->
   (Bit.t Lbc_flood.Flood.wire, Bit.t) Lbc_sim.Engine.proc
 (** The hybrid algorithm as a reactive per-node process over
-    [phases × size g] rounds, used to run it unmodified on the directed
-    gadget networks of the Lemma D.1/D.2 necessity proofs. *)
+    [phases × size g] rounds ({!Phase_driver.proc}), used to run it
+    unmodified on the directed gadget networks of the Lemma A.1/A.2
+    ([t = 0]) and D.1/D.2 necessity proofs. [paths] is the execution's
+    path intern table over [g], the same for every node. *)
 
 val run :
   g:Lbc_graph.Graph.t ->

@@ -41,10 +41,14 @@
     Internally every path annotation is interned ({!Path_intern}, one
     table per store unless the caller shares one), and a wire carries
     its path as an id of its sender's table, not as a list. A receiver
-    that shares the sender's table — the stores of an Algorithm 1, 2 or
-    3 [run] all share one — reads the id as it is: receiving a message
-    walks no list. A wire from any other table is re-interned from its
-    list. The rule-(ii) key [(u, Π)] is the trie id of [Π·u], so the
+    that shares the sender's table reads the id as it is: receiving a
+    message walks no list. Every execution in the library shares one
+    table across its stores — an Algorithm 1, 2 or 3 [run], the
+    reactive Algorithm 1/3 procs (the caller's table) and the gadget
+    runs and E2 replays (the gadget's). A wire from any other table is
+    re-interned from its list; only stores created without [paths]
+    meet one, in tests and standalone flood probes.
+    The rule-(ii) key [(u, Π)] is the trie id of [Π·u], so the
     dedup table is a bitset over trie ids; the record store keys on the
     full path's id ({!Itbl}); rule (i)'s timing/validity checks read
     intern-time facts, record node-sets are bitsets built once at accept

@@ -6,6 +6,7 @@ module Bit = Lbc_consensus.Bit
 module Spec = Lbc_consensus.Spec
 
 type proc_family =
+  paths:Lbc_flood.Path_intern.t ->
   me:int ->
   input:Bit.t ->
   (Bit.t Flood.wire, Bit.t) Engine.proc
@@ -33,6 +34,8 @@ type t = {
   e2_side_a : Nodeset.t;
   e2_side_b : Nodeset.t;
   description : string;
+  paths : Lbc_flood.Path_intern.t;
+      (* over g: every procedure of run and replay_e2 interns in it *)
   mutable transcript :
     (int * int * Bit.t Flood.wire Engine.delivery) list option;
 }
@@ -85,6 +88,7 @@ let finish b ~g ~inputs ~expect_zero ~expect_one ~e2_faulty ~e2_replay
     e2_side_a;
     e2_side_b;
     description;
+    paths = Lbc_flood.Path_intern.create g;
     transcript = None;
   }
 
@@ -664,7 +668,7 @@ type verdict = {
 let run t ~proc ~rounds =
   let roles =
     Array.init t.m (fun w ->
-        let inner = proc ~me:t.to_g.(w) ~input:t.inputs.(w) in
+        let inner = proc ~paths:t.paths ~me:t.to_g.(w) ~input:t.inputs.(w) in
         Engine.Honest
           {
             Engine.step =
@@ -729,7 +733,7 @@ let replay_e2 t ~proc ~rounds =
   let roles =
     Array.init n (fun u ->
         if Nodeset.mem u t.e2_faulty then Engine.Faulty (replay u)
-        else Engine.Honest (proc ~me:u ~input:t.e2_inputs.(u)))
+        else Engine.Honest (proc ~paths:t.paths ~me:u ~input:t.e2_inputs.(u)))
   in
   let topo = Engine.topology_of_graph t.g in
   let result = Engine.run topo ~model:t.e2_model ~rounds ~roles in

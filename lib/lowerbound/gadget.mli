@@ -17,12 +17,18 @@
     (agreement-violating) outcome. *)
 
 type proc_family =
+  paths:Lbc_flood.Path_intern.t ->
   me:int ->
   input:Lbc_consensus.Bit.t ->
   (Lbc_consensus.Bit.t Lbc_flood.Flood.wire, Lbc_consensus.Bit.t)
   Lbc_sim.Engine.proc
 (** A protocol, given as the per-node process constructor for the
-    original graph (e.g. [Algorithm1.proc ~g ~f]). *)
+    original graph (e.g. [Algorithm1.proc ~g ~f]). A gadget creates one
+    path intern table over the original graph and passes it as [paths]
+    to every process of {!run} and of {!replay_e2}: each 𝒢-node runs a
+    [G]-node's procedure on [G]-node paths, so the whole of execution E
+    and its replay share that table, and the recorded wires the faulty
+    nodes replay in E2 are read as ids of it. *)
 
 type t
 (** A constructed gadget network. *)

@@ -1,25 +1,40 @@
-(* Compare bench/main.exe --quick outputs with the golden table.
+(* Compare bench/main.exe outputs with a golden table.
 
-     check_golden.exe EXPECTED ACTUAL...
+     check_golden.exe quick|full EXPECTED ACTUAL...
 
-   Every line must be equal except the six below, which report wall
-   clocks or work-stealing schedules; such a line must still be present,
-   and is compared only up to the end of its label. Exit 1 on the first
-   difference of each file, printing both lines. *)
+   [quick] checks a [--quick] run against quick.expected, [full] a full
+   run against full.expected. Every line must be equal except the six
+   below, which report wall clocks or work-stealing schedules; such a
+   line must still be present, and is compared only up to the end of its
+   label. Exit 1 on the first difference of each file, printing both
+   lines. *)
 
-let masked =
+(* E17 work stealing, the same at both scales *)
+let stealing =
   [
-    (* E1 and E2 campaign wall clocks (and the domain count) *)
-    "  -> 40/40 scenarios ok; campaign wall ";
-    "  -> 8/8 scenarios ok; campaign wall ";
-    (* E17 work stealing *)
     "  wall, stealing (4 domains)";
     "  critical path (slowest scenario)";
     "  stealing wall / critical path";
     "  tasks stolen";
   ]
 
-let mask line =
+(* E1 and E2 campaign wall clocks (and the domain count) *)
+let walls = function
+  | "quick" ->
+      [
+        "  -> 40/40 scenarios ok; campaign wall ";
+        "  -> 8/8 scenarios ok; campaign wall ";
+      ]
+  | "full" ->
+      [
+        "  -> 3520/3520 scenarios ok; campaign wall ";
+        "  -> 248/248 scenarios ok; campaign wall ";
+      ]
+  | other ->
+      Printf.eprintf "check_golden.exe: unknown scale %S (quick, full)\n" other;
+      exit 2
+
+let mask masked line =
   match List.find_opt (fun prefix -> String.starts_with ~prefix line) masked with
   | Some prefix -> (prefix, true)
   | None -> (line, false)
@@ -30,8 +45,8 @@ let read_lines file =
 
 (* The file's lines with the masked ones cut to their labels; fails
    unless each label masks exactly one line. *)
-let masked_lines file =
-  let lines = List.map mask (read_lines file) in
+let masked_lines masked file =
+  let lines = List.map (mask masked) (read_lines file) in
   List.iter
     (fun prefix ->
       let hits = List.filter (fun (l, m) -> m && l = prefix) lines in
@@ -45,12 +60,13 @@ let masked_lines file =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: expected :: (_ :: _ as actuals) ->
-      let want = masked_lines expected in
+  | _ :: scale :: expected :: (_ :: _ as actuals) ->
+      let masked = walls scale @ stealing in
+      let want = masked_lines masked expected in
       let ok =
         List.fold_left
           (fun ok actual ->
-            let got = masked_lines actual in
+            let got = masked_lines masked actual in
             let rec go i = function
               | w :: ws, g :: gs when w = g -> go (i + 1) (ws, gs)
               | [], [] -> true
@@ -65,5 +81,5 @@ let () =
       in
       if not ok then exit 1
   | _ ->
-      prerr_endline "usage: check_golden.exe EXPECTED ACTUAL...";
+      prerr_endline "usage: check_golden.exe quick|full EXPECTED ACTUAL...";
       exit 2

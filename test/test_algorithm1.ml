@@ -155,8 +155,10 @@ let test_proc_equivalent_to_run () =
   let inputs = [| Bit.Zero; Bit.One; Bit.One; Bit.Zero; Bit.One |] in
   let o = A1.run ~g ~f:1 ~inputs ~faulty:Nodeset.empty () in
   let topo = Engine.topology_of_graph g in
+  let paths = Lbc_flood.Path_intern.create g in
   let roles =
-    Array.init 5 (fun v -> Engine.Honest (A1.proc ~g ~f:1 ~me:v ~input:inputs.(v)))
+    Array.init 5 (fun v ->
+        Engine.Honest (A1.proc ~g ~f:1 ~paths ~me:v ~input:inputs.(v)))
   in
   let r =
     Engine.run topo ~model:Engine.Local_broadcast ~rounds:(A1.rounds ~g ~f:1)

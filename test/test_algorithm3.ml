@@ -104,9 +104,10 @@ let test_proc_equivalent_to_run () =
   let o = A3.run ~g ~f:1 ~t:1 ~inputs ~faulty:Nodeset.empty () in
   let module Engine = Lbc_sim.Engine in
   let topo = Engine.topology_of_graph g in
+  let paths = Lbc_flood.Path_intern.create g in
   let roles =
     Array.init 4 (fun v ->
-        Engine.Honest (A3.proc ~g ~f:1 ~t:1 ~me:v ~input:inputs.(v)))
+        Engine.Honest (A3.proc ~g ~f:1 ~t:1 ~paths ~me:v ~input:inputs.(v)))
   in
   let rounds = A3.phases ~g ~f:1 ~t:1 * 4 in
   let r = Engine.run topo ~model:Engine.Local_broadcast ~rounds ~roles in

@@ -12,14 +12,44 @@ module Nodeset = Lbc_graph.Nodeset
 
 let check = Alcotest.(check bool)
 
-let attack name gadget g f =
-  let proc = A1.proc ~g ~f in
-  let rounds = A1.rounds ~g ~f in
+(* [proc] with every inbox watched: the returned counter tallies the
+   received wires whose table is not the [paths] the gadget handed to
+   the receiving process. A gadget shares one table across execution E
+   and its replay, so the count stays 0. *)
+let counting_foreign (proc : Gadget.proc_family) =
+  let foreign = ref 0 in
+  let family ~paths ~me ~input =
+    let inner = proc ~paths ~me ~input in
+    {
+      inner with
+      Lbc_sim.Engine.step =
+        (fun ~round ~inbox ->
+          List.iter
+            (fun (_, (m : Bit.t Lbc_flood.Flood.wire)) ->
+              if m.Lbc_flood.Flood.home != paths then incr foreign)
+            inbox;
+          inner.Lbc_sim.Engine.step ~round ~inbox);
+    }
+  in
+  (family, foreign)
+
+(* Run the gadget and the E2 replay through [counting_foreign], checking
+   after each that no process received a wire of another table. *)
+let run_and_replay name gadget ~proc ~rounds =
+  let proc, foreign = counting_foreign proc in
   let v = Gadget.run gadget ~proc ~rounds in
+  Alcotest.(check int) (name ^ ": E reads one table") 0 !foreign;
+  let o = Gadget.replay_e2 gadget ~proc ~rounds in
+  Alcotest.(check int) (name ^ ": E2 reads one table") 0 !foreign;
+  (v, o)
+
+let attack name gadget g f =
+  let v, o =
+    run_and_replay name gadget ~proc:(A1.proc ~g ~f) ~rounds:(A1.rounds ~g ~f)
+  in
   check (name ^ ": zero group") true v.Gadget.group_zero_ok;
   check (name ^ ": one group") true v.Gadget.group_one_ok;
   check (name ^ ": split") true v.Gadget.split;
-  let o = Gadget.replay_e2 gadget ~proc ~rounds in
   check (name ^ ": E2 violates agreement") false (Spec.agreement o);
   (* the violation splits along the advertised sides *)
   let side_a, side_b = Gadget.e2_sides gadget in
@@ -91,11 +121,11 @@ let test_degree_f2_sparse () =
 
 let attack_hybrid name gadget g f t =
   let module A3 = Lbc_consensus.Algorithm3 in
-  let proc = A3.proc ~g ~f ~t in
-  let rounds = A3.phases ~g ~f ~t * G.size g in
-  let v = Gadget.run gadget ~proc ~rounds in
+  let v, o =
+    run_and_replay name gadget ~proc:(A3.proc ~g ~f ~t)
+      ~rounds:(A3.phases ~g ~f ~t * G.size g)
+  in
   check (name ^ ": split") true v.Gadget.split;
-  let o = Gadget.replay_e2 gadget ~proc ~rounds in
   check (name ^ ": E2 violates agreement") false (Spec.agreement o);
   check
     (name ^ ": fault budget")
